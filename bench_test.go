@@ -41,9 +41,13 @@ func BenchmarkTable2Config(b *testing.B) {
 func BenchmarkTable1TxStages(b *testing.B) {
 	w, _ := workloads.ByName("queue")
 	p := workloads.Params{Seed: 1, Items: 32, Ops: 1}
+	spec, err := machine.ByName("sca")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunWorkload(core.Options{Design: config.SCA, Workload: w.Name(), Params: p})
+		res, err := core.RunWorkload(core.Options{Spec: spec, Workload: w.Name(), Params: p})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +303,11 @@ func BenchmarkReplayObserved(b *testing.B) {
 	w, _ := workloads.ByName("btree")
 	traces := crash.BuildTraces(w, workloads.Params{Seed: 1, Items: 256, Ops: 64}, 1)
 	run := func(b *testing.B, pb *probe.Probe) {
-		res, err := core.RunTracesObserved(config.Default(config.SCA), w.Name(), traces, pb)
+		m, err := machine.FromConfig(config.Default(config.SCA))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Run(m, w.Name(), traces, pb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -345,11 +353,11 @@ func BenchmarkCrashCampaign(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var rep crash.Report
 			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = crash.SweepPerOpJ(spec, w, p, 0, mode.pruned)
+				run, err := crash.RunCampaign(spec, w, p, crash.CampaignOptions{Pruned: mode.pruned})
 				if err != nil {
 					b.Fatal(err)
 				}
+				rep = run.Report
 			}
 			b.ReportMetric(float64(rep.Simulated), "injections")
 			b.ReportMetric(100*rep.PrunedFraction, "pruned_%")

@@ -114,28 +114,10 @@ Flags:
 		os.Exit(2)
 	}
 
-	var spec *machine.Spec
-	if *specPath != "" {
-		f, err := os.Open(*specPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		spec, err = machine.DecodeSpec(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	} else {
-		var err error
-		spec, err = machine.ByName(*design)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "unknown design %q (valid: %s)\n",
-				*design, strings.Join(machine.Names(), "|"))
-			os.Exit(2)
-		}
-		spec.Cores = *cores
+	spec, err := machine.LoadSpec(*specPath, *design, *cores)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	var targets []workloads.Workload
 	if *workload == "all" {
@@ -154,6 +136,10 @@ Flags:
 		fmt.Fprintln(os.Stderr, "crashtest: campaign flags need -campaign")
 		os.Exit(2)
 	}
+	if !*campaign && *points < 1 {
+		fmt.Fprintln(os.Stderr, "crashtest: -points must be at least 1")
+		os.Exit(2)
+	}
 	if len(targets) > 1 && (*checkpoint != "" || *campaignOut != "") {
 		fmt.Fprintln(os.Stderr, "crashtest: -checkpoint/-campaign-out cover one campaign; pick a single -workload")
 		os.Exit(2)
@@ -167,33 +153,32 @@ Flags:
 	}
 	anyFail := false
 	for _, w := range targets {
-		var rep crash.Report
-		var err error
+		copts := crash.CampaignOptions{Workers: *jobs, OnDone: session.RunnerSink(nil)}
 		if *campaign {
-			copts := crash.CampaignOptions{
-				Workers:         *jobs,
-				Pruned:          !*exhaustive,
-				ValidateMembers: *validateClasses,
-				ValidateSeed:    *validateSeed,
-				CheckpointPath:  *checkpoint,
-				CheckpointEvery: *checkpointEvery,
-				Resume:          *resume,
-				HaltAfter:       *haltAfter,
-				OnDone:          session.RunnerSink(nil),
-			}
-			start := time.Now()
-			run, rerr := crash.RunCampaign(spec, w, p, copts)
-			if errors.Is(rerr, crash.ErrCampaignHalted) {
-				fmt.Fprintln(os.Stderr, rerr)
-				session.End()
-				os.Exit(3)
-			}
-			if rerr != nil {
-				fmt.Fprintln(os.Stderr, rerr)
-				os.Exit(1)
-			}
+			copts.Pruned = !*exhaustive
+			copts.ValidateMembers = *validateClasses
+			copts.ValidateSeed = *validateSeed
+			copts.CheckpointPath = *checkpoint
+			copts.CheckpointEvery = *checkpointEvery
+			copts.Resume = *resume
+			copts.HaltAfter = *haltAfter
+		} else {
+			copts.GridPoints = *points
+		}
+		start := time.Now()
+		run, err := crash.RunCampaign(spec, w, p, copts)
+		if errors.Is(err, crash.ErrCampaignHalted) {
+			fmt.Fprintln(os.Stderr, err)
+			session.End()
+			os.Exit(3)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		rep := run.Report
+		if *campaign {
 			run.Campaign.WallMS = time.Since(start).Milliseconds()
-			rep = run.Report
 			fmt.Printf("%v  classes: %d, cells: %d, simulated: %d, pruned: %d (%.1f%%)\n",
 				rep, rep.Classes, rep.Cells, rep.Simulated, rep.Pruned, 100*rep.PrunedFraction)
 			if err := writeCampaignReport(*campaignOut, &run.Campaign); err != nil {
@@ -201,11 +186,6 @@ Flags:
 				os.Exit(2)
 			}
 		} else {
-			rep, err = crash.SweepSpecJObserved(spec, w, p, *points, *jobs, session.RunnerSink(nil))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			fmt.Println(rep)
 		}
 		for _, f := range rep.Failures() {

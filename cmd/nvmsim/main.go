@@ -44,27 +44,6 @@ import (
 	"encnvm/internal/workloads"
 )
 
-// loadSpec resolves the machine spec the flags select: a JSON file when
-// -spec is given, else the registered spec named by -design with the
-// -cores override applied.
-func loadSpec(specPath, design string, cores int) (*machine.Spec, error) {
-	if specPath != "" {
-		f, err := os.Open(specPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return machine.DecodeSpec(f)
-	}
-	spec, err := machine.ByName(design)
-	if err != nil {
-		return nil, fmt.Errorf("unknown design %q (valid: %s)", design,
-			strings.Join(machine.Names(), "|"))
-	}
-	spec.Cores = cores
-	return spec, nil
-}
-
 func main() {
 	design := flag.String("design", "sca", "registered machine: "+strings.Join(machine.Names(), "|"))
 	specPath := flag.String("spec", "", "load a declarative machine spec from this JSON file (overrides -design/-cores)")
@@ -98,7 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	spec, err := loadSpec(*specPath, *design, *cores)
+	spec, err := machine.LoadSpec(*specPath, *design, *cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -161,7 +140,10 @@ func main() {
 			// path adopts it so -cores need not be repeated at replay.
 			spec.Cores = len(readers)
 		}
-		res, err = core.RunSpecSourcesObserved(spec, *workload, trace.BinSources(readers), pb)
+		m, err := machine.Build(spec)
+		if err == nil {
+			res, err = core.Run(m, *workload, readers, pb)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -174,7 +156,8 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := crash.RecordTraces(w, params.WithDefaults(), cfg.NumCores, *recordTrace); err != nil {
+			traces := crash.BuildTraces(w, params.WithDefaults(), cfg.NumCores)
+			if err := trace.WriteTracesFile(*recordTrace, traces); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

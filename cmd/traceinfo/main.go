@@ -10,7 +10,7 @@
 //	traceinfo -in run.bin [-check]
 //
 // With -in, the trace is read from a binary trace file recorded by
-// nvmsim -record-trace (or crash.RecordTraces) instead of being
+// nvmsim -record-trace (or trace.WriteTracesFile) instead of being
 // generated, and every core in the file is analyzed; records are decoded
 // in place from the mapped bytes, never materialized into a trace.Trace.
 // The setup/heap lines only appear in generated mode — a recorded file

@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
@@ -111,21 +111,28 @@ func main() {
 		store.put(k)
 	}
 
-	cfg := config.Default(config.SCA)
-	// Full run: the committed store must survive the whole pipeline.
-	sys, err := replay.New(cfg, []*trace.Trace{rt.Trace()})
+	spec, err := machine.ByName("sca")
 	if err != nil {
 		log.Fatal(err)
 	}
-	end := sys.Run()
+	newSystem := func() *replay.System {
+		m, err := machine.Build(spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sys, err := replay.NewMachine(m, []*trace.Trace{rt.Trace()})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return sys
+	}
+	// Full run: the committed store must survive the whole pipeline.
+	end := newSystem().Run()
 	fmt.Printf("40 transactional puts replayed under SCA in %.1fus\n", end.Nanoseconds()/1000)
 
 	// Crash mid-run, recover, audit.
 	for _, frac := range []sim.Time{3, 5, 7, 9} {
-		sys2, err := replay.New(cfg, []*trace.Trace{rt.Trace()})
-		if err != nil {
-			log.Fatal(err)
-		}
+		sys2 := newSystem()
 		t := sys2.RunUntil(end * frac / 10)
 		sys2.MC.DrainADR(t)
 		space := crash.DecryptImage(sys2.MC.Layout(), sys2.MC.Encryption(),

@@ -15,6 +15,7 @@ import (
 
 	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
@@ -72,11 +73,7 @@ func walk(space *mem.Space, head mem.Addr, arena persist.Arena) ([]uint64, strin
 // crashAndRecover replays the trace under the design, crashes at the given
 // instant, and decrypts NVM with the counters found in NVM.
 func crashAndRecover(d config.Design, rt *persist.Runtime, at sim.Time) (*mem.Space, sim.Time) {
-	cfg := config.Default(d)
-	sys, err := replay.New(cfg, []*trace.Trace{rt.Trace()})
-	if err != nil {
-		log.Fatal(err)
-	}
+	sys := newSystem(d, rt)
 	t := sys.RunUntil(at)
 	sys.MC.DrainADR(t)
 	snap := sys.Dev.Image().SnapshotAt(t)
@@ -88,7 +85,7 @@ func main() {
 
 	fmt.Println("== legacy persistency primitives on an encrypted NVMM (Ideal design) ==")
 	legacyRT, head := buildListTrace(true)
-	end := fullRunEnd(config.Ideal, legacyRT)
+	end := newSystem(config.Ideal, legacyRT).Run()
 	failures := 0
 	for i := sim.Time(1); i <= 10; i++ {
 		space, t := crashAndRecover(config.Ideal, legacyRT, end*i/10)
@@ -104,7 +101,7 @@ func main() {
 
 	fmt.Println("== the paper's primitives (CounterAtomic head) on SCA hardware ==")
 	scaRT, head2 := buildListTrace(false)
-	end = fullRunEnd(config.SCA, scaRT)
+	end = newSystem(config.SCA, scaRT).Run()
 	failures = 0
 	for i := sim.Time(1); i <= 10; i++ {
 		space, t := crashAndRecover(config.SCA, scaRT, end*i/10)
@@ -122,10 +119,20 @@ func main() {
 	}
 }
 
-func fullRunEnd(d config.Design, rt *persist.Runtime) sim.Time {
-	sys, err := replay.New(config.Default(d), []*trace.Trace{rt.Trace()})
+// newSystem assembles the design's built-in machine and attaches the
+// runtime's trace to its single core.
+func newSystem(d config.Design, rt *persist.Runtime) *replay.System {
+	spec, err := machine.SpecForDesign(d)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return sys.Run()
+	m, err := machine.Build(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := replay.NewMachine(m, []*trace.Trace{rt.Trace()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sys
 }

@@ -18,18 +18,23 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
-func sweep(d config.Design) (failures, points, trials, lines int) {
+func sweep(design string) (failures, points, trials, lines int) {
+	spec, err := machine.ByName(design)
+	if err != nil {
+		log.Fatal(err)
+	}
 	p := workloads.Params{Seed: 11, Items: 96, Ops: 32, Legacy: true}
 	for _, w := range workloads.All() {
-		rep, err := crash.Sweep(config.Default(d), w, p, 16)
+		run, err := crash.RunCampaign(spec, w, p, crash.CampaignOptions{GridPoints: 16})
 		if err != nil {
 			log.Fatal(err)
 		}
+		rep := run.Report
 		failures += len(rep.Failures())
 		points += len(rep.Results)
 		for _, r := range rep.Results {
@@ -43,10 +48,10 @@ func sweep(d config.Design) (failures, points, trials, lines int) {
 func main() {
 	fmt.Println("legacy persistency software (pre-paper, no SCA primitives) under crash injection:")
 
-	f, p, _, _ := sweep(config.Ideal)
+	f, p, _, _ := sweep("ideal")
 	fmt.Printf("  counter-mode NVMM without counter-atomicity: %3d/%3d crash points inconsistent\n", f, p)
 
-	f2, p2, trials, lines := sweep(config.Osiris)
+	f2, p2, trials, lines := sweep("osiris")
 	fmt.Printf("  Osiris-style ECC counter recovery:           %3d/%3d crash points inconsistent\n", f2, p2)
 	if lines > 0 {
 		fmt.Printf("  Osiris recovery cost: %.2f candidate decryptions per NVM line\n",

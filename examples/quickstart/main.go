@@ -7,16 +7,20 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
 func main() {
 	// 1. Run a persistent B-tree under the paper's SCA design.
+	spec, err := machine.ByName("sca")
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := core.RunWorkload(core.Options{
-		Design:   config.SCA,
+		Spec:     spec,
 		Workload: "btree",
 		Params:   workloads.Params{Seed: 1, Items: 512, Ops: 128},
 	})
@@ -33,21 +37,22 @@ func main() {
 	}
 	fmt.Println("final NVM image decrypts and validates")
 
-	// 3. Crash the same workload at 16 points across its execution and
-	//    recover each time.
-	rep, err := core.CrashSweep(core.Options{
-		Design:   config.SCA,
-		Workload: "btree",
-		Params:   workloads.Params{Seed: 1, Items: 128, Ops: 32},
-	}, 16)
+	// 3. Crash the same workload at 17 instants spread across its
+	//    execution and recover each time.
+	w, err := workloads.ByName("btree")
 	if err != nil {
 		log.Fatal(err)
 	}
+	p := workloads.Params{Seed: 1, Items: 128, Ops: 32}.WithDefaults()
+	run, err := crash.RunCampaign(spec, w, p, crash.CampaignOptions{GridPoints: 16})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep := run.Report
 	fmt.Printf("crash sweep: %d points, %d inconsistent\n", len(rep.Results), len(rep.Failures()))
 	rolled := 0
 	for _, r := range rep.Results {
 		rolled += r.RecoveredEntries
 	}
 	fmt.Printf("undo-log rollbacks performed across the sweep: %d\n", rolled)
-	_ = crash.DefaultArena // see internal/crash for the recovery pipeline
 }

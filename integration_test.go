@@ -10,10 +10,30 @@ import (
 	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
 var itParams = workloads.Params{Seed: 99, Items: 48, Ops: 24, OpsPerTx: 1, ComputeCycles: 100}
+
+// designSpec returns the built-in machine spec of a paper design.
+func designSpec(t testing.TB, d config.Design) *machine.Spec {
+	t.Helper()
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// gridSweep runs a grid campaign of n+1 crash points.
+func gridSweep(spec *machine.Spec, w workloads.Workload, p workloads.Params, n int) (crash.Report, error) {
+	run, err := crash.RunCampaign(spec, w, p, crash.CampaignOptions{GridPoints: n})
+	if err != nil {
+		return crash.Report{}, err
+	}
+	return run.Report, nil
+}
 
 // TestEveryDesignEveryWorkloadEndToEnd runs the full design/workload
 // matrix (the paper's six designs plus Osiris, across the five §6.2
@@ -26,7 +46,7 @@ func TestEveryDesignEveryWorkloadEndToEnd(t *testing.T) {
 			t.Run(d.String()+"/"+w.Name(), func(t *testing.T) {
 				t.Parallel()
 				res, err := core.RunWorkload(core.Options{
-					Design: d, Workload: w.Name(), Params: itParams,
+					Spec: designSpec(t, d), Workload: w.Name(), Params: itParams,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -46,9 +66,11 @@ func TestEveryDesignEveryWorkloadEndToEnd(t *testing.T) {
 // bit-identical runtime and traffic — the determinism every controlled
 // comparison in the experiments depends on.
 func TestDeterminismAcrossRuns(t *testing.T) {
+	spec := designSpec(t, config.SCA)
+	spec.Cores = 2
 	run := func() core.Result {
 		res, err := core.RunWorkload(core.Options{
-			Design: config.SCA, Workload: "rbtree", Cores: 2, Params: itParams,
+			Spec: spec, Workload: "rbtree", Params: itParams,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,12 +100,12 @@ func TestCrashMatrixConsistentDesigns(t *testing.T) {
 			d, w := d, w
 			t.Run(d.String()+"/"+w.Name(), func(t *testing.T) {
 				t.Parallel()
-				rep, err := crash.Sweep(config.Default(d), w, itParams, 6)
+				rep, err := gridSweep(designSpec(t, d), w, itParams, 6)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, f := range rep.Failures() {
-					t.Errorf("crash at %v: %v", f.CrashAt, f.Err)
+					t.Errorf("crash at %v: %v", f.CrashAt, f.Error)
 				}
 			})
 		}
@@ -97,21 +119,19 @@ func TestPropertyCrashConsistencySCARandomSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property fuzz is multi-second")
 	}
-	cfg := config.Default(config.SCA)
+	spec := designSpec(t, config.SCA)
 	f := func(seed int64, pick uint8) bool {
 		w := workloads.All()[int(pick)%5]
 		p := itParams
 		p.Seed = seed
 		p.Items, p.Ops = 32, 12
-		traces := crash.BuildTraces(w, p, 1)
-		rep, err := crash.Sweep(cfg, w, p, 4)
+		rep, err := gridSweep(spec, w, p, 4)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		_ = traces
 		if n := len(rep.Failures()); n != 0 {
-			t.Logf("seed %d workload %s: %d failures: %v", seed, w.Name(), n, rep.Failures()[0].Err)
+			t.Logf("seed %d workload %s: %d failures: %v", seed, w.Name(), n, rep.Failures()[0].Error)
 			return false
 		}
 		return true
@@ -129,13 +149,13 @@ func TestOpsPerTxMatrix(t *testing.T) {
 		p.OpsPerTx = per
 		p.Ops = per * 6
 		for _, w := range workloads.All() {
-			rep, err := crash.Sweep(config.Default(config.SCA), w, p, 4)
+			rep, err := gridSweep(designSpec(t, config.SCA), w, p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n := len(rep.Failures()); n != 0 {
 				t.Errorf("%s OpsPerTx=%d: %d inconsistent crash points: %v",
-					w.Name(), per, n, rep.Failures()[0].Err)
+					w.Name(), per, n, rep.Failures()[0].Error)
 			}
 		}
 	}
@@ -145,9 +165,10 @@ func TestOpsPerTxMatrix(t *testing.T) {
 // still demands end-to-end validity (Fig. 17's knob).
 func TestLatencyScalingMatrix(t *testing.T) {
 	for _, scale := range [][2]float64{{10, 10}, {0.25, 0.25}, {10, 0.25}} {
-		cfg := config.Default(config.SCA).WithNVMLatencyScale(scale[0], scale[1])
+		spec := designSpec(t, config.SCA)
+		spec.ReadLatencyX, spec.WriteLatencyX = scale[0], scale[1]
 		res, err := core.RunWorkload(core.Options{
-			Workload: "queue", Params: itParams, Config: cfg,
+			Spec: spec, Workload: "queue", Params: itParams,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -163,13 +184,14 @@ func TestLatencyScalingMatrix(t *testing.T) {
 // consistency throughout (Fig. 15's knob plus the eviction path).
 func TestCounterCacheSizeMatrix(t *testing.T) {
 	for _, size := range []int{16 << 10, 64 << 10, 1 << 20} {
-		cfg := config.Default(config.SCA).WithCounterCacheSize(size)
-		rep, err := crash.Sweep(cfg, &workloads.HashTable{}, itParams, 6)
+		spec := designSpec(t, config.SCA)
+		spec.CounterCacheBytes = size
+		rep, err := gridSweep(spec, &workloads.HashTable{}, itParams, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range rep.Failures() {
-			t.Errorf("counter cache %dKB: crash at %v: %v", size>>10, f.CrashAt, f.Err)
+			t.Errorf("counter cache %dKB: crash at %v: %v", size>>10, f.CrashAt, f.Error)
 		}
 	}
 }

@@ -18,11 +18,21 @@ func persistArena() mem.Addr {
 
 var tiny = workloads.Params{Seed: 5, Items: 24, Ops: 12, OpsPerTx: 1, ComputeCycles: 50}
 
+// designSpec returns the built-in machine spec of a paper design.
+func designSpec(t *testing.T, d config.Design) *machine.Spec {
+	t.Helper()
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 func TestRunWorkloadAllDesigns(t *testing.T) {
 	for _, d := range config.AllDesigns {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			res, err := RunWorkload(Options{Design: d, Workload: "arrayswap", Params: tiny})
+			res, err := RunWorkload(Options{Spec: designSpec(t, d), Workload: "arrayswap", Params: tiny})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +47,7 @@ func TestRunWorkloadAllDesigns(t *testing.T) {
 }
 
 func TestRunWorkloadUnknown(t *testing.T) {
-	if _, err := RunWorkload(Options{Design: config.SCA, Workload: "bogus"}); err == nil {
+	if _, err := RunWorkload(Options{Spec: designSpec(t, config.SCA), Workload: "bogus"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -48,11 +58,13 @@ func TestMultiCoreThroughputScales(t *testing.T) {
 	// think time between transactions; back-to-back write bursts
 	// saturate PCM write bandwidth regardless of core count.
 	p := workloads.Params{Seed: 5, Items: 512, Ops: 48, OpsPerTx: 1, ComputeCycles: 4000}
-	one, err := RunWorkload(Options{Design: config.SCA, Workload: "hashtable", Cores: 1, Params: p})
+	spec := designSpec(t, config.SCA)
+	one, err := RunWorkload(Options{Spec: spec, Workload: "hashtable", Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunWorkload(Options{Design: config.SCA, Workload: "hashtable", Cores: 4, Params: p})
+	spec.Cores = 4
+	four, err := RunWorkload(Options{Spec: spec, Workload: "hashtable", Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,63 +92,22 @@ func TestRunTracesSameTraceAcrossDesigns(t *testing.T) {
 	}
 }
 
-func TestCrashSweepFacade(t *testing.T) {
-	rep, err := CrashSweep(Options{Design: config.SCA, Workload: "queue", Params: tiny}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Failures()) != 0 {
-		t.Fatalf("SCA crash sweep failed: %v", rep.Failures()[0].Err)
-	}
-}
-
+// RunTraces uses its configuration verbatim: the path sensitivity
+// sweeps take to fields a spec resolves from defaults.
 func TestConfigOverride(t *testing.T) {
 	cfg := config.Default(config.SCA).WithCounterCacheSize(128 << 10)
-	res, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny, Config: cfg})
+	w, _ := workloads.ByName("arrayswap")
+	res, err := RunTraces(cfg, w.Name(), crash.BuildTraces(w, tiny, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Design != config.SCA {
-		t.Fatalf("design = %v", res.Design)
+	if res.Design != config.SCA || res.System.Cfg.CounterCache.SizeBytes != 128<<10 {
+		t.Fatalf("ran %v with a %d-byte counter cache", res.Design, res.System.Cfg.CounterCache.SizeBytes)
 	}
 }
 
-// A Design or Cores that contradicts an explicit Config used to be
-// silently ignored; the run would quietly use the Config's values. Both
-// mismatches must now be rejected, while matching (or zero) values next
-// to a Config stay accepted.
-func TestConfigOverrideContradictions(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCores(2)
-	cases := []struct {
-		name   string
-		opts   Options
-		wantOK bool
-	}{
-		{"design mismatch", Options{Workload: "arrayswap", Params: tiny, Config: cfg, Design: config.Osiris}, false},
-		{"cores mismatch", Options{Workload: "arrayswap", Params: tiny, Config: cfg, Cores: 4}, false},
-		{"design and cores match", Options{Workload: "arrayswap", Params: tiny, Config: cfg, Design: config.SCA, Cores: 2}, true},
-		{"both zero", Options{Workload: "arrayswap", Params: tiny, Config: cfg}, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			res, err := RunWorkload(c.opts)
-			if c.wantOK {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Design != config.SCA || res.Cores != 2 {
-					t.Fatalf("ran %v/%d cores, want SCA/2", res.Design, res.Cores)
-				}
-			} else if err == nil {
-				t.Fatal("contradictory Options accepted")
-			}
-		})
-	}
-}
-
-// Spec is a third, mutually exclusive machine source: combining it with
-// Config or a nonzero Design/Cores pair is an error, and on its own it
-// must drive the run end to end.
+// Spec is the one machine source: it must drive the run end to end,
+// and leaving it nil is an error.
 func TestSpecOption(t *testing.T) {
 	spec, err := machine.ByName("sca")
 	if err != nil {
@@ -152,23 +123,14 @@ func TestSpecOption(t *testing.T) {
 	if err := VerifyResult(res); err != nil {
 		t.Fatalf("end-to-end verification: %v", err)
 	}
-	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny,
-		Spec: spec, Config: config.Default(config.SCA)}); err == nil {
-		t.Fatal("Spec+Config accepted")
-	}
-	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny,
-		Spec: spec, Design: config.Osiris}); err == nil {
-		t.Fatal("Spec+Design accepted")
-	}
-	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny,
-		Spec: spec, Cores: 2}); err == nil {
-		t.Fatal("Spec+Cores accepted")
+	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny}); err == nil {
+		t.Fatal("nil Spec accepted")
 	}
 }
 
 func TestVerifyResultDetectsCorruption(t *testing.T) {
 	// Corrupt the final image behind VerifyResult's back: it must fail.
-	res, err := RunWorkload(Options{Design: config.NoEncryption, Workload: "queue", Params: tiny})
+	res, err := RunWorkload(Options{Spec: designSpec(t, config.NoEncryption), Workload: "queue", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +158,7 @@ func TestVerifyResultWithoutSystem(t *testing.T) {
 func TestRunWorkloadLegacyMode(t *testing.T) {
 	p := tiny
 	p.Legacy = true
-	res, err := RunWorkload(Options{Design: config.NoEncryption, Workload: "arrayswap", Params: p})
+	res, err := RunWorkload(Options{Spec: designSpec(t, config.NoEncryption), Workload: "arrayswap", Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +172,7 @@ func TestRunWorkloadLegacyMode(t *testing.T) {
 }
 
 func TestOsirisEndToEnd(t *testing.T) {
-	res, err := RunWorkload(Options{Design: config.Osiris, Workload: "btree", Params: tiny})
+	res, err := RunWorkload(Options{Spec: designSpec(t, config.Osiris), Workload: "btree", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}

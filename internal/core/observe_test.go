@@ -21,7 +21,7 @@ func observedRun(t *testing.T, p workloads.Params) (res Result, trace, metrics, 
 		AttachTrace(&traceBuf).
 		AttachMetrics(&metricsBuf, sim.Microsecond)
 	res, err := RunWorkload(Options{
-		Design: config.SCA, Workload: "btree", Params: p, Probe: pb,
+		Spec: designSpec(t, config.SCA), Workload: "btree", Params: p, Probe: pb,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestObservedRunDeterministic(t *testing.T) {
 // Attaching the probe must not perturb the simulation: every stats counter
 // and the runtime must match a probe-free run of the same workload.
 func TestProbeDoesNotPerturbSimulation(t *testing.T) {
-	plain, err := RunWorkload(Options{Design: config.SCA, Workload: "btree", Params: tiny})
+	plain, err := RunWorkload(Options{Spec: designSpec(t, config.SCA), Workload: "btree", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestProbeDoesNotPerturbSimulation(t *testing.T) {
 func TestSinklessProbeIsInert(t *testing.T) {
 	pb := probe.New()
 	res, err := RunWorkload(Options{
-		Design: config.SCA, Workload: "btree", Params: tiny, Probe: pb,
+		Spec: designSpec(t, config.SCA), Workload: "btree", Params: tiny, Probe: pb,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestSinklessProbeIsInert(t *testing.T) {
 	if err := pb.Close(res.System.Eng.Now()); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunWorkload(Options{Design: config.SCA, Workload: "btree", Params: tiny})
+	plain, err := RunWorkload(Options{Spec: designSpec(t, config.SCA), Workload: "btree", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}

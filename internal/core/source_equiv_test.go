@@ -29,17 +29,24 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, name+".bin")
-			if err := crash.RecordTraces(w, p, cores, path); err != nil {
+			traces := crash.BuildTraces(w, p, cores)
+			if err := trace.WriteTracesFile(path, traces); err != nil {
 				t.Fatal(err)
 			}
-			traces := crash.BuildTraces(w, p, cores)
 
 			spec, err := machine.ByName("sca")
 			if err != nil {
 				t.Fatal(err)
 			}
 			spec.Cores = cores
-			want, err := RunSpecTraces(spec, name, traces)
+			build := func() *machine.Machine {
+				m, err := machine.Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			want, err := Run(build(), name, traces, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,12 +55,7 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec2, err := machine.ByName("sca")
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec2.Cores = cores
-			got, err := RunSpecSourcesObserved(spec2, name, trace.BinSources(readers), nil)
+			got, err := Run(build(), name, readers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

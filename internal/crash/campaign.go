@@ -1,15 +1,20 @@
-// Campaigns: per-op crash-point sweeps driven by the static
-// crash-equivalence partition (internal/check/prune), with optional
-// pruning, class validation, and JSONL checkpointing for resume.
+// Campaigns: the one crash-injection path. A campaign probes the
+// workload's timing once, turns the probe into a sorted set of crash
+// deadlines, and fans one injection per cell out over the runner, with
+// optional JSONL checkpointing for resume.
 //
-// # Crash-point space
+// # Crash-point spaces
 //
-// A campaign enumerates the per-op gaps of a single-core trace: gap k is
-// a power failure after the first k ops retired and before op k+1 takes
-// effect. One probe run with retire-time recording yields the deadline
-// of every gap — t(0) = 0, t(k) = retire time of op k-1 — so the space
-// has exactly ops+1 points, anchored to program structure rather than
-// the legacy sweep's evenly-spaced wall-clock grid.
+// A per-op campaign enumerates the per-op gaps of a single-core trace:
+// gap k is a power failure after the first k ops retired and before op
+// k+1 takes effect. One probe run with retire-time recording yields the
+// deadline of every gap — t(0) = 0, t(k) = retire time of op k-1 — so
+// the space has exactly ops+1 points, anchored to program structure.
+//
+// A grid campaign (CampaignOptions.GridPoints > 0) instead spreads
+// GridPoints+1 instants evenly over the probe run, unrelated to op
+// boundaries; each grid cell holds one point. Grid deadlines are plain
+// time points, so grid campaigns accept any core count.
 //
 // # Layered pruning soundness
 //
@@ -30,14 +35,11 @@
 package crash
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sort"
 	"sync"
 
@@ -50,6 +52,7 @@ import (
 	"encnvm/internal/replay"
 	"encnvm/internal/runner"
 	"encnvm/internal/sim"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -68,6 +71,11 @@ var ErrCampaignHalted = errors.New("crash: campaign halted; resume from its chec
 type CampaignOptions struct {
 	// Workers is the injection parallelism degree (<= 0: GOMAXPROCS).
 	Workers int
+	// GridPoints, when > 0, crashes at GridPoints+1 instants spread
+	// evenly over the run (ModeGrid) instead of at every per-op gap.
+	// Grid campaigns accept any core count but neither prune nor
+	// validate classes.
+	GridPoints int
 	// Pruned simulates one representative per epoch-refined cell
 	// instead of every gap.
 	Pruned bool
@@ -81,10 +89,11 @@ type CampaignOptions struct {
 	// CheckpointPath, when non-empty, streams one JSONL record per
 	// completed cell to this file. Without Resume the file is
 	// truncated; with Resume it must exist and match the campaign's
-	// fingerprint, and its completed cells are not re-simulated.
+	// fingerprint, and its completed cells are not re-simulated. A
+	// torn final line (a kill mid-write) is cut off before appending.
 	CheckpointPath string
-	// CheckpointEvery flushes the checkpoint stream after this many
-	// newly-completed cells (<= 0: every cell).
+	// CheckpointEvery flushes and syncs the checkpoint stream after
+	// this many newly-completed cells (<= 0: every cell).
 	CheckpointEvery int
 	// Resume loads CheckpointPath before running.
 	Resume bool
@@ -96,13 +105,13 @@ type CampaignOptions struct {
 	OnDone func(runner.Progress)
 }
 
-// CellRecord is one campaign checkpoint line: the verdict of one
-// epoch-refined cell, attributed to every gap in [Gaps[0], Gaps[1]).
+// CellRecord is one campaign checkpoint line: the verdict of one cell,
+// attributed to every crash point in [Gaps[0], Gaps[1]).
 // It carries everything needed to rebuild the cell's Report rows, so a
 // resumed campaign reproduces the original report byte for byte.
 type CellRecord struct {
 	Cell  int    `json:"cell"`
-	Class int    `json:"class"` // static class the cell refines
+	Class int    `json:"class"` // static class the cell refines (0 in grid mode)
 	Gaps  [2]int `json:"gaps"`  // half-open gap interval covered
 	Rep   int    `json:"rep"`   // simulated representative gap
 	// CrashAt is the simulated instant the representative injection
@@ -136,12 +145,12 @@ type CampaignReport struct {
 	Schema   string `json:"schema"`
 	Design   string `json:"design"`
 	Workload string `json:"workload"`
-	Mode     string `json:"mode"` // ModeExhaustive or ModePruned
-	Ops      int    `json:"ops"`
-	// CrashPoints is the per-op gap count (ops+1).
+	Mode     string `json:"mode"` // ModeGrid, ModeExhaustive, or ModePruned
+	Ops      int    `json:"ops"`  // zero in ModeGrid
+	// CrashPoints is the per-op gap count (ops+1), or GridPoints+1.
 	CrashPoints int `json:"crash_points"`
 	// Classes is the static partition size; Cells counts classes after
-	// epoch refinement — the unit simulated.
+	// epoch refinement — the unit simulated. Both zero in ModeGrid.
 	Classes int `json:"classes"`
 	Cells   int `json:"cells"`
 	// Simulated counts injections run (cells plus validation members);
@@ -171,9 +180,10 @@ type CampaignRun struct {
 
 // campaignHeader is the checkpoint's first JSONL record: the campaign
 // fingerprint a resume must match. PartitionHash binds the static class
-// structure, TimelineHash the probe run's deadlines and persist epochs;
-// together they reject resuming against a different binary, spec,
-// workload, or parameterization.
+// structure (zero in grid mode), TimelineHash the probe run's deadlines
+// and persist epochs (deadlines alone in grid mode); together they
+// reject resuming against a different binary, spec, workload, or
+// parameterization.
 type campaignHeader struct {
 	Schema          string         `json:"schema"`
 	Spec            string         `json:"spec"`
@@ -194,8 +204,9 @@ type campaignHeader struct {
 	TimelineHash    uint64         `json:"timeline_hash"`
 }
 
-// campaignCell is one epoch-refined unit of simulation covering the
-// half-open gap interval [Lo, Hi).
+// campaignCell is one unit of simulation covering the half-open
+// crash-point interval [Lo, Hi): an epoch-refined class, a single
+// per-op gap, or a single grid point.
 type campaignCell struct {
 	Index  int
 	Class  int
@@ -203,12 +214,12 @@ type campaignCell struct {
 	Rep    int
 }
 
-// RunCampaign sweeps the per-op crash-point space of one workload on
-// one machine spec: probe the timing skeleton, compute the static
-// partition and check its certificates, refine classes by persist
-// epochs, then inject at each cell representative (plus sampled
-// validation members). Campaigns are single-core: the per-op gap space
-// of an interleaved multi-core run is not a total order.
+// RunCampaign sweeps the crash-point space of one workload on one
+// machine spec: probe the timing skeleton, derive the cells — per-op
+// gaps refined by the static partition and persist epochs, or grid
+// points — then inject at each cell representative (plus sampled
+// validation members). Per-op campaigns are single-core: the per-op gap
+// space of an interleaved multi-core run is not a total order.
 func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	opts CampaignOptions) (*CampaignRun, error) {
 
@@ -216,71 +227,33 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NumCores != 1 {
+	grid := opts.GridPoints > 0
+	switch {
+	case grid && (opts.Pruned || opts.ValidateMembers > 0):
+		return nil, fmt.Errorf("crash: grid campaigns neither prune nor validate classes")
+	case !grid && cfg.NumCores != 1:
 		return nil, fmt.Errorf("crash: campaigns are single-core; spec %q has %d cores",
 			spec.Name, cfg.NumCores)
 	}
-	traces := BuildTraces(w, p, 1)
+	traces := BuildTraces(w, p, cfg.NumCores)
 
-	// Probe run: record every op's retire deadline and every instant
-	// the crash-visible state mutated. Start+Run (not System.Run) so
-	// the post-run flush phase contributes no epochs — crashes never
-	// happen after the final retire.
-	pp := perf.Begin("campaign-probe")
-	probe, err := replay.NewSpec(spec, traces)
+	var sp *crashSpace
+	if grid {
+		sp, err = gridSpace(spec, traces, opts.GridPoints)
+	} else {
+		sp, err = perOpSpace(spec, traces, opts.Pruned)
+	}
 	if err != nil {
-		pp.End()
 		return nil, err
 	}
-	probe.RecordRetireTimes()
-	var epochs []sim.Time
-	probe.MC.SetPersistEpochSink(func(t sim.Time) {
-		if n := len(epochs); n == 0 || epochs[n-1] != t {
-			epochs = append(epochs, t)
-		}
-	})
-	probe.Start()
-	probe.Eng.Run()
-	retire := probe.RetireTimes(0)
-	pp.End()
-	if len(retire) != traces[0].Len() {
-		return nil, fmt.Errorf("crash: probe retired %d of %d ops", len(retire), traces[0].Len())
-	}
-	if probe.RuntimeSoFar() == 0 {
-		return nil, fmt.Errorf("crash: empty run")
-	}
-	deadlines := make([]sim.Time, len(retire)+1)
-	copy(deadlines[1:], retire) // deadlines[0] = 0: crash before any op
+	cells, deadlines := sp.cells, sp.deadlines
 
-	// Static partition, self-checked: a campaign never trusts an
-	// unverified class structure, even one it just computed.
-	pc := perf.Begin("campaign-classes")
-	popts := prune.Options{
-		Arenas: []persist.Arena{persist.ArenaFor(0, DefaultArena)},
-		Model:  enginecheck.ModelFor(probe.Meta, probe.Cfg),
-	}
-	part, err := prune.Compute(traces[0], popts)
-	if err != nil {
-		pc.End()
-		return nil, err
-	}
-	if err := prune.Check(traces[0], part, popts); err != nil {
-		pc.End()
-		return nil, fmt.Errorf("crash: partition failed its own certificate check: %w", err)
-	}
-	cells := refineCells(part, deadlines, epochs, opts.Pruned)
-	pc.End()
-
-	mode := ModeExhaustive
-	if opts.Pruned {
-		mode = ModePruned
-	}
 	header := campaignHeader{
 		Schema:          CheckpointSchema,
 		Spec:            spec.Name,
 		Design:          cfg.Design.String(),
 		Workload:        w.Name(),
-		Mode:            mode,
+		Mode:            sp.mode,
 		Seed:            p.Seed,
 		Items:           p.Items,
 		Ops:             p.Ops,
@@ -291,44 +264,28 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 		ValidateMembers: opts.ValidateMembers,
 		ValidateSeed:    opts.ValidateSeed,
 		Cells:           len(cells),
-		PartitionHash:   part.Hash(),
-		TimelineHash:    timelineHash(deadlines, epochs),
+		PartitionHash:   sp.partitionHash,
+		TimelineHash:    timelineHash(deadlines, sp.epochs),
 	}
 
 	done := map[int]CellRecord{}
+	var keep int64 // checkpoint bytes a resume keeps: its complete records
 	if opts.Resume {
 		if opts.CheckpointPath == "" {
 			return nil, fmt.Errorf("crash: resume needs a checkpoint path")
 		}
-		done, err = loadCheckpoint(opts.CheckpointPath, header)
+		done, keep, err = loadCheckpoint(opts.CheckpointPath, header)
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	var (
-		ckf *os.File
-		ckw *bufio.Writer
-	)
+	var ck *checkpoint
 	if opts.CheckpointPath != "" {
-		flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-		if opts.Resume {
-			flags = os.O_WRONLY | os.O_APPEND
-		}
-		ckf, err = os.OpenFile(opts.CheckpointPath, flags, 0o644)
+		ck, err = openCheckpoint(opts.CheckpointPath, header, keep)
 		if err != nil {
-			return nil, fmt.Errorf("crash: checkpoint: %w", err)
+			return nil, err
 		}
-		defer ckf.Close()
-		ckw = bufio.NewWriter(ckf)
-		if !opts.Resume {
-			if err := writeJSONL(ckw, header); err != nil {
-				return nil, err
-			}
-			if err := ckw.Flush(); err != nil {
-				return nil, fmt.Errorf("crash: checkpoint: %w", err)
-			}
-		}
+		defer ck.f.Close() // error paths; success closes explicitly below
 	}
 
 	every := opts.CheckpointEvery
@@ -351,7 +308,7 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 			if rec, ok := done[c.Index]; ok {
 				return rec, nil // resumed: checkpointed by a previous run
 			}
-			res, err := InjectSpecAt(spec, w, traces, deadlines[c.Rep])
+			res, err := inject(spec, w, traces, deadlines[c.Rep])
 			if err != nil {
 				return CellRecord{}, err
 			}
@@ -369,7 +326,7 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 				Osiris:           res.Osiris,
 			}
 			for _, g := range pickMembers(opts.ValidateSeed, c, opts.ValidateMembers) {
-				mres, err := InjectSpecAt(spec, w, traces, deadlines[g])
+				mres, err := inject(spec, w, traces, deadlines[g])
 				if err != nil {
 					return rec, err
 				}
@@ -382,14 +339,12 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if ckw != nil && ckErr == nil {
-				if err := writeJSONL(ckw, rec); err != nil {
+			if ck != nil && ckErr == nil {
+				if err := ck.writeRecord(rec); err != nil {
 					ckErr = err
 				} else if sinceFlush++; sinceFlush >= every {
 					sinceFlush = 0
-					if err := ckw.Flush(); err != nil {
-						ckErr = fmt.Errorf("crash: checkpoint: %w", err)
-					}
+					ckErr = ck.sync()
 				}
 			}
 			if newly++; opts.HaltAfter > 0 && newly >= opts.HaltAfter && !halted {
@@ -404,13 +359,14 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 		}})
 	ps.End()
 
-	if ckw != nil {
+	if ck != nil {
+		// A cell abandoned by the halt may still be finishing; closing
+		// under the lock (and dropping ck) keeps it off the closed file.
 		mu.Lock()
-		if ckErr == nil {
-			if err := ckw.Flush(); err != nil {
-				ckErr = fmt.Errorf("crash: checkpoint: %w", err)
-			}
+		if err := ck.close(); ckErr == nil {
+			ckErr = err
 		}
+		ck = nil
 		err := ckErr
 		mu.Unlock()
 		if err != nil {
@@ -431,21 +387,112 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	if halted {
 		return nil, ErrCampaignHalted
 	}
-	run := buildRun(cfg.Design, w.Name(), mode, part.Classes, cells, recs, deadlines)
+	run := buildRun(cfg.Design, w.Name(), sp, recs)
 	run.NewlySimulated = newly
 	return run, nil
 }
 
-// SweepPerOpJ is the Report-first entry point for per-op sweeps: a
-// campaign without checkpointing, exhaustive or pruned.
-func SweepPerOpJ(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	workers int, pruned bool) (Report, error) {
+// crashSpace is a campaign's crash-point space: the sorted deadlines,
+// the cells that tile them, and what the checkpoint fingerprint binds.
+type crashSpace struct {
+	mode      string
+	deadlines []sim.Time
+	cells     []campaignCell
+	// Per-op spaces only: the persist epochs that refined the cells,
+	// the static partition's class count, and its hash.
+	epochs        []sim.Time
+	classes       int
+	partitionHash uint64
+}
 
-	run, err := RunCampaign(spec, w, p, CampaignOptions{Workers: workers, Pruned: pruned})
+// probeRun replays the traces once, uncrashed, on a fresh machine built
+// from the spec, recording every op's retire deadline and every instant
+// the crash-visible state mutated (the persist epochs). Start+Eng.Run
+// (not System.Run) so the post-run flush phase contributes no epochs —
+// crashes never happen after the final retire.
+func probeRun(spec *machine.Spec, traces []*trace.Trace) (*replay.System, []sim.Time, error) {
+	defer perf.Begin("campaign-probe").End()
+	m, err := machine.Build(spec)
 	if err != nil {
-		return Report{}, err
+		return nil, nil, err
 	}
-	return run.Report, nil
+	probe, err := replay.NewMachine(m, traces)
+	if err != nil {
+		return nil, nil, err
+	}
+	var epochs []sim.Time
+	probe.RecordRetireTimes()
+	probe.MC.SetPersistEpochSink(func(t sim.Time) {
+		if n := len(epochs); n == 0 || epochs[n-1] != t {
+			epochs = append(epochs, t)
+		}
+	})
+	probe.Start()
+	probe.Eng.Run()
+	if probe.RuntimeSoFar() == 0 {
+		return nil, nil, fmt.Errorf("crash: empty run")
+	}
+	return probe, epochs, nil
+}
+
+// gridSpace spreads n+1 deadlines over the probe run, one per cell:
+// i·end/n for i = 0..n, where end is the probe run's last retire.
+func gridSpace(spec *machine.Spec, traces []*trace.Trace, n int) (*crashSpace, error) {
+	probe, _, err := probeRun(spec, traces)
+	if err != nil {
+		return nil, err
+	}
+	end := uint64(probe.RuntimeSoFar())
+	sp := &crashSpace{mode: ModeGrid}
+	for i := 0; i <= n; i++ {
+		sp.deadlines = append(sp.deadlines, sim.Time(end*uint64(i)/uint64(n)))
+		sp.cells = append(sp.cells, campaignCell{Index: i, Lo: i, Hi: i + 1, Rep: i})
+	}
+	return sp, nil
+}
+
+// perOpSpace derives the per-op gap deadlines from a recording probe
+// run, computes the static partition and checks its certificates, and
+// tiles the gaps with cells: one per gap, or epoch-refined classes when
+// pruned.
+func perOpSpace(spec *machine.Spec, traces []*trace.Trace, pruned bool) (*crashSpace, error) {
+	probe, epochs, err := probeRun(spec, traces)
+	if err != nil {
+		return nil, err
+	}
+	retire := probe.RetireTimes(0)
+	if len(retire) != traces[0].Len() {
+		return nil, fmt.Errorf("crash: probe retired %d of %d ops", len(retire), traces[0].Len())
+	}
+	deadlines := make([]sim.Time, len(retire)+1)
+	copy(deadlines[1:], retire) // deadlines[0] = 0: crash before any op
+
+	// Static partition, self-checked: a campaign never trusts an
+	// unverified class structure, even one it just computed.
+	defer perf.Begin("campaign-classes").End()
+	popts := prune.Options{
+		Arenas: []persist.Arena{persist.ArenaFor(0, DefaultArena)},
+		Model:  enginecheck.ModelFor(probe.Meta, probe.Cfg),
+	}
+	part, err := prune.Compute(traces[0], popts)
+	if err != nil {
+		return nil, err
+	}
+	if err := prune.Check(traces[0], part, popts); err != nil {
+		return nil, fmt.Errorf("crash: partition failed its own certificate check: %w", err)
+	}
+	mode := ModeExhaustive
+	if pruned {
+		mode = ModePruned
+	}
+	return &crashSpace{
+		mode:          mode,
+		deadlines:     deadlines,
+		cells:         refineCells(part, deadlines, epochs, pruned),
+		epochs:        epochs,
+		classes:       len(part.Classes),
+		partitionHash: part.Hash(),
+	}, nil
 }
 
 // refineCells splits every static class at the persist-epoch instants
@@ -554,37 +601,40 @@ func sameVerdict(rep, member Result) error {
 // cell-record set. Records alone determine the output, so a resumed
 // campaign — mixing checkpointed and fresh records — reproduces the
 // uninterrupted run's reports byte for byte (WallMS excluded; the CLI
-// stamps it).
-func buildRun(design config.Design, workload, mode string,
-	classes []prune.Class, cells []campaignCell, recs []CellRecord,
-	deadlines []sim.Time) *CampaignRun {
-
-	points := len(deadlines)
+// stamps it). A grid space has no partition and no op gaps: its Cells
+// and Ops are the convention's literal zeros.
+func buildRun(design config.Design, workload string, sp *crashSpace, recs []CellRecord) *CampaignRun {
+	points, cells := len(sp.deadlines), len(sp.cells)
+	if sp.mode == ModeGrid {
+		cells = 0
+	}
 	rep := Report{
 		Design:      design,
 		Workload:    workload,
-		Mode:        mode,
+		Mode:        sp.mode,
 		CrashPoints: points,
-		Classes:     len(classes),
-		Cells:       len(cells),
+		Classes:     sp.classes,
+		Cells:       cells,
 	}
 	camp := CampaignReport{
 		Schema:      ReportSchema,
 		Design:      design.String(),
 		Workload:    workload,
-		Mode:        mode,
-		Ops:         points - 1,
+		Mode:        sp.mode,
 		CrashPoints: points,
-		Classes:     len(classes),
-		Cells:       len(cells),
+		Classes:     sp.classes,
+		Cells:       cells,
 		Violations:  []CampaignViolation{},
 	}
-	for i, c := range cells {
+	if sp.mode != ModeGrid {
+		camp.Ops = points - 1
+	}
+	for i, c := range sp.cells {
 		r := recs[i]
 		rep.Validated += r.Validated
 		for g := c.Lo; g < c.Hi; g++ {
 			rep.Results = append(rep.Results, Result{
-				CrashAt:          deadlines[g],
+				CrashAt:          sp.deadlines[g],
 				LostCounterLines: r.LostCounterLines,
 				RecoveredEntries: r.RecoveredEntries,
 				CorruptLog:       r.CorruptLog,
@@ -603,74 +653,16 @@ func buildRun(design config.Design, workload, mode string,
 			camp.ViolationPoints += c.Hi - c.Lo
 		}
 	}
-	rep.Simulated = len(cells) + rep.Validated
-	rep.Pruned = points - len(cells)
-	rep.PrunedFraction = float64(rep.Pruned) / float64(points)
-	if mode == ModeExhaustive {
-		// Exhaustive cells tile the gaps one-to-one; report the
-		// convention's literal zeros rather than a computed 0/points.
-		rep.Pruned, rep.PrunedFraction = 0, 0
+	rep.Simulated = len(sp.cells) + rep.Validated
+	if sp.mode == ModePruned {
+		// Exhaustive and grid cells tile the points one-to-one; they
+		// keep the convention's literal zeros.
+		rep.Pruned = points - len(sp.cells)
+		rep.PrunedFraction = float64(rep.Pruned) / float64(points)
 	}
 	camp.Simulated = rep.Simulated
 	camp.Validated = rep.Validated
 	camp.Pruned = rep.Pruned
 	camp.PrunedFraction = rep.PrunedFraction
 	return &CampaignRun{Report: rep, Campaign: camp}
-}
-
-// writeJSONL writes one compact JSON record and a newline.
-func writeJSONL(w *bufio.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("crash: checkpoint: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("crash: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// loadCheckpoint reads a checkpoint stream, validates its header
-// against the campaign fingerprint, and returns the completed cells.
-func loadCheckpoint(path string, want campaignHeader) (map[int]CellRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("crash: resume: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("crash: resume %s: %w", path, err)
-		}
-		return nil, fmt.Errorf("crash: resume %s: empty checkpoint", path)
-	}
-	var have campaignHeader
-	if err := json.Unmarshal(sc.Bytes(), &have); err != nil {
-		return nil, fmt.Errorf("crash: resume %s: header: %w", path, err)
-	}
-	if have != want {
-		return nil, fmt.Errorf("crash: resume %s: checkpoint fingerprint mismatch: campaign is %+v, checkpoint holds %+v",
-			path, want, have)
-	}
-	done := make(map[int]CellRecord)
-	line := 1
-	for sc.Scan() {
-		line++
-		var rec CellRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("crash: resume %s:%d: %w", path, line, err)
-		}
-		if rec.Cell < 0 || rec.Cell >= want.Cells {
-			return nil, fmt.Errorf("crash: resume %s:%d: cell %d outside [0,%d)",
-				path, line, rec.Cell, want.Cells)
-		}
-		done[rec.Cell] = rec
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("crash: resume %s: %w", path, err)
-	}
-	return done, nil
 }

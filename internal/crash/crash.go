@@ -17,7 +17,6 @@
 package crash
 
 import (
-	"context"
 	"fmt"
 
 	"encnvm/internal/config"
@@ -27,7 +26,6 @@ import (
 	"encnvm/internal/perf"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
-	"encnvm/internal/runner"
 	"encnvm/internal/sim"
 	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
@@ -58,8 +56,8 @@ func (r Result) Consistent() bool { return r.Err == nil && r.Error == "" }
 
 // Sweep modes, recorded in Report.Mode.
 const (
-	// ModeGrid is the legacy sweep: n+1 instants spread evenly over the
-	// execution window, unrelated to op boundaries.
+	// ModeGrid covers CampaignOptions.GridPoints+1 instants spread
+	// evenly over the execution window, unrelated to op boundaries.
 	ModeGrid = "grid"
 	// ModeExhaustive simulates every per-op crash gap.
 	ModeExhaustive = "exhaustive"
@@ -138,15 +136,6 @@ func BuildTraces(w workloads.Workload, p workloads.Params, cores int) []*trace.T
 	return traces
 }
 
-// RecordTraces builds the workload's per-core traces exactly like
-// BuildTraces and serializes them to path in the binary trace format
-// (trace.WriteTracesFile). Trace generation is deterministic in
-// (workload, params, cores), so a recorded file replays byte-identically
-// to an in-process build.
-func RecordTraces(w workloads.Workload, p workloads.Params, cores int, path string) error {
-	return trace.WriteTracesFile(path, BuildTraces(w, p, cores))
-}
-
 // DecryptImage reconstructs the plaintext view of a post-crash NVM
 // snapshot, decrypting every data line with the counter present in the
 // snapshot's counter region — stale or missing counters yield garbage,
@@ -199,35 +188,22 @@ func decryptOracle(lay mem.Layout, enc *ctrenc.Engine,
 	return space
 }
 
-// InjectAt builds a fresh system over the given traces, crashes it at the
-// given instant, and runs recovery plus validation for every core's arena.
-func InjectAt(cfg *config.Config, w workloads.Workload, traces []*trace.Trace,
+// inject builds a fresh machine from the spec, replays the traces up to
+// the given instant, crashes there, and runs the design's recovery —
+// delegated to the machine's metadata engine — plus validation for
+// every core's arena. Machine construction stays outside the perf
+// regions so host profiles can attribute it separately.
+func inject(spec *machine.Spec, w workloads.Workload, traces []*trace.Trace,
 	at sim.Time) (Result, error) {
 
-	sys, err := replay.New(cfg, traces)
+	m, err := machine.Build(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	return injectSys(sys, w, traces, at)
-}
-
-// InjectSpecAt is InjectAt for a declarative machine spec — the path that
-// reaches custom engines, sizings, and non-PCM backends.
-func InjectSpecAt(spec *machine.Spec, w workloads.Workload, traces []*trace.Trace,
-	at sim.Time) (Result, error) {
-
-	sys, err := replay.NewSpec(spec, traces)
+	sys, err := replay.NewMachine(m, traces)
 	if err != nil {
 		return Result{}, err
 	}
-	return injectSys(sys, w, traces, at)
-}
-
-// injectSys crashes an unstarted system at the given instant and runs the
-// design's recovery — delegated to the machine's metadata engine — plus
-// validation for every core's arena.
-func injectSys(sys *replay.System, w workloads.Workload, traces []*trace.Trace,
-	at sim.Time) (Result, error) {
 
 	rr := perf.Begin("replay")
 	t := sys.RunUntil(at)
@@ -278,116 +254,4 @@ func injectSys(sys *replay.System, w workloads.Workload, traces []*trace.Trace,
 		res.Error = res.Err.Error()
 	}
 	return res, nil
-}
-
-// Sweep crashes the workload at n points spread evenly over its execution
-// window and reports every outcome. The window is discovered with one
-// uncrashed probe run over the same traces. Injections fan out over
-// GOMAXPROCS workers; use SweepJ to pick the degree explicitly.
-func Sweep(cfg *config.Config, w workloads.Workload, p workloads.Params, n int) (Report, error) {
-	return SweepJ(cfg, w, p, n, 0)
-}
-
-// SweepJ is Sweep with an explicit parallelism degree (workers <= 0 uses
-// GOMAXPROCS, 1 is the sequential loop). Every crash point is an
-// independent injection: InjectAt builds a fresh system — engine,
-// controller, device — per point over the shared read-only traces, and
-// each cell clones the Config since simulation instances are not
-// goroutine-safe. Results are collected in crash-point order, so the
-// report is identical to the sequential sweep's for every degree.
-func SweepJ(cfg *config.Config, w workloads.Workload, p workloads.Params, n, workers int) (Report, error) {
-	rep := Report{Design: cfg.Design, Workload: w.Name(), Mode: ModeGrid}
-	traces := BuildTraces(w, p, cfg.NumCores)
-
-	probe, err := replay.New(cfg, traces)
-	if err != nil {
-		return rep, err
-	}
-	end := probe.Run()
-	if end == 0 {
-		return rep, fmt.Errorf("crash: empty run")
-	}
-
-	// Skew towards the tail where commits and counter evictions cluster,
-	// but cover the whole run including t=0 and always the final instant.
-	points := make([]sim.Time, 0, n+1)
-	for i := 0; i < n; i++ {
-		points = append(points, sim.Time(uint64(end)*uint64(i)/uint64(n)))
-	}
-	points = append(points, end)
-
-	rs := runner.Map(context.Background(), points,
-		func(_ context.Context, at sim.Time) (Result, error) {
-			cc := *cfg // own Config per cell
-			return InjectAt(&cc, w, traces, at)
-		},
-		runner.Options{Workers: workers, Label: func(i int) string {
-			return fmt.Sprintf("sweep/%s/%s/point%d", cfg.Design, w.Name(), i)
-		}})
-	for _, r := range rs {
-		if r.Err != nil {
-			// Match the sequential contract: the report carries the
-			// results before the first failing point, plus its error.
-			return rep, r.Err
-		}
-		rep.Results = append(rep.Results, r.Value)
-	}
-	rep.CrashPoints = len(rep.Results)
-	rep.Simulated = len(rep.Results)
-	return rep, nil
-}
-
-// SweepSpecJ is SweepJ over a declarative machine spec, so custom
-// machines (non-default sizing, the DRAM backend, future engines) run
-// through the crash harness unchanged. Each crash point builds its own
-// system from the spec, which is read-only throughout.
-func SweepSpecJ(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	n, workers int) (Report, error) {
-	return SweepSpecJObserved(spec, w, p, n, workers, nil)
-}
-
-// SweepSpecJObserved is SweepSpecJ with a per-cell completion sink
-// (runner.Options.OnDone) attached, so front ends can stream progress
-// or aggregate host-side fleet statistics. A nil onDone is SweepSpecJ.
-func SweepSpecJObserved(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	n, workers int, onDone func(runner.Progress)) (Report, error) {
-
-	cfg, err := spec.Config()
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{Design: cfg.Design, Workload: w.Name(), Mode: ModeGrid}
-	traces := BuildTraces(w, p, cfg.NumCores)
-
-	probe, err := replay.NewSpec(spec, traces)
-	if err != nil {
-		return rep, err
-	}
-	end := probe.Run()
-	if end == 0 {
-		return rep, fmt.Errorf("crash: empty run")
-	}
-
-	points := make([]sim.Time, 0, n+1)
-	for i := 0; i < n; i++ {
-		points = append(points, sim.Time(uint64(end)*uint64(i)/uint64(n)))
-	}
-	points = append(points, end)
-
-	rs := runner.Map(context.Background(), points,
-		func(_ context.Context, at sim.Time) (Result, error) {
-			return InjectSpecAt(spec, w, traces, at)
-		},
-		runner.Options{Workers: workers, OnDone: onDone, Label: func(i int) string {
-			return fmt.Sprintf("sweep/%s/%s/point%d", spec.Name, w.Name(), i)
-		}})
-	for _, r := range rs {
-		if r.Err != nil {
-			return rep, r.Err
-		}
-		rep.Results = append(rep.Results, r.Value)
-	}
-	rep.CrashPoints = len(rep.Results)
-	rep.Simulated = len(rep.Results)
-	return rep, nil
 }

@@ -4,17 +4,36 @@ import (
 	"testing"
 
 	"encnvm/internal/config"
+	"encnvm/internal/machine"
 	"encnvm/internal/persist"
-	"encnvm/internal/replay"
 	"encnvm/internal/sim"
 	"encnvm/internal/workloads"
 )
 
 var smallParams = workloads.Params{Seed: 21, Items: 24, Ops: 12, OpsPerTx: 1, ComputeCycles: 50}
 
+// specOf returns the built-in machine spec of a paper design.
+func specOf(t *testing.T, d config.Design) *machine.Spec {
+	t.Helper()
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// gridSweep runs a grid campaign of n+1 crash points.
+func gridSweep(spec *machine.Spec, w workloads.Workload, p workloads.Params, n int) (Report, error) {
+	run, err := RunCampaign(spec, w, p, CampaignOptions{GridPoints: n})
+	if err != nil {
+		return Report{}, err
+	}
+	return run.Report, nil
+}
+
 func sweep(t *testing.T, d config.Design, w workloads.Workload, points int) Report {
 	t.Helper()
-	rep, err := Sweep(config.Default(d), w, smallParams, points)
+	rep, err := gridSweep(specOf(t, d), w, smallParams, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +52,7 @@ func TestSCASurvivesEveryCrashPoint(t *testing.T) {
 		t.Run(w.Name(), func(t *testing.T) {
 			rep := sweep(t, config.SCA, w, 12)
 			for _, f := range rep.Failures() {
-				t.Errorf("crash at %v: %v (lost counters: %d)", f.CrashAt, f.Err, f.LostCounterLines)
+				t.Errorf("crash at %v: %v (lost counters: %d)", f.CrashAt, f.Error, f.LostCounterLines)
 			}
 		})
 	}
@@ -45,7 +64,7 @@ func TestFCASurvivesEveryCrashPoint(t *testing.T) {
 		t.Run(w.Name(), func(t *testing.T) {
 			rep := sweep(t, config.FCA, w, 8)
 			for _, f := range rep.Failures() {
-				t.Errorf("crash at %v: %v", f.CrashAt, f.Err)
+				t.Errorf("crash at %v: %v", f.CrashAt, f.Error)
 			}
 		})
 	}
@@ -56,7 +75,7 @@ func TestCoLocatedSurvivesEveryCrashPoint(t *testing.T) {
 		for _, w := range []workloads.Workload{&workloads.ArraySwap{}, &workloads.Queue{}} {
 			rep := sweep(t, d, w, 8)
 			for _, f := range rep.Failures() {
-				t.Errorf("%v/%s crash at %v: %v", d, w.Name(), f.CrashAt, f.Err)
+				t.Errorf("%v/%s crash at %v: %v", d, w.Name(), f.CrashAt, f.Error)
 			}
 		}
 	}
@@ -67,7 +86,7 @@ func TestNoEncryptionSurvives(t *testing.T) {
 	// undo log alone provides crash consistency.
 	rep := sweep(t, config.NoEncryption, &workloads.ArraySwap{}, 8)
 	for _, f := range rep.Failures() {
-		t.Errorf("crash at %v: %v", f.CrashAt, f.Err)
+		t.Errorf("crash at %v: %v", f.CrashAt, f.Error)
 	}
 }
 
@@ -83,7 +102,7 @@ func TestLegacySoftwareFailsOnEncryptedNVMM(t *testing.T) {
 	failures := 0
 	lostCounters := 0
 	for _, w := range workloads.All() {
-		rep, err := Sweep(config.Default(config.Ideal), w, legacy, 24)
+		rep, err := gridSweep(specOf(t, config.Ideal), w, legacy, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,12 +126,12 @@ func TestLegacySoftwareFailsOnEncryptedNVMM(t *testing.T) {
 func TestLegacySoftwareSurvivesWithoutEncryption(t *testing.T) {
 	legacy := smallParams
 	legacy.Legacy = true
-	rep, err := Sweep(config.Default(config.NoEncryption), &workloads.ArraySwap{}, legacy, 16)
+	rep, err := gridSweep(specOf(t, config.NoEncryption), &workloads.ArraySwap{}, legacy, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("crash at %v: %v", f.CrashAt, f.Err)
+		t.Errorf("crash at %v: %v", f.CrashAt, f.Error)
 	}
 }
 
@@ -122,17 +141,16 @@ func TestCrashAtEndIsConsistent(t *testing.T) {
 	rep := sweep(t, config.SCA, &workloads.ArraySwap{}, 4)
 	last := rep.Results[len(rep.Results)-1]
 	if !last.Consistent() {
-		t.Fatalf("crash at completion inconsistent: %v", last.Err)
+		t.Fatalf("crash at completion inconsistent: %v", last.Error)
 	}
 }
 
 func TestCrashAtZeroIsConsistent(t *testing.T) {
 	// Crashing before anything persisted must validate trivially (the
 	// structure was never published).
-	cfg := config.Default(config.SCA)
 	w := &workloads.ArraySwap{}
 	traces := BuildTraces(w, smallParams, 1)
-	res, err := InjectAt(cfg, w, traces, 0)
+	res, err := inject(specOf(t, config.SCA), w, traces, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +160,14 @@ func TestCrashAtZeroIsConsistent(t *testing.T) {
 }
 
 func TestMultiCoreCrashConsistency(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCores(2)
-	rep, err := Sweep(cfg, &workloads.Queue{}, smallParams, 6)
+	spec := specOf(t, config.SCA)
+	spec.Cores = 2
+	rep, err := gridSweep(spec, &workloads.Queue{}, smallParams, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("2-core crash at %v: %v", f.CrashAt, f.Err)
+		t.Errorf("2-core crash at %v: %v", f.CrashAt, f.Error)
 	}
 }
 
@@ -184,12 +203,12 @@ func TestRedoLoggingSurvivesEveryCrashPoint(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			rep, err := Sweep(config.Default(config.SCA), w, p, 10)
+			rep, err := gridSweep(specOf(t, config.SCA), w, p, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range rep.Failures() {
-				t.Errorf("crash at %v: %v", f.CrashAt, f.Err)
+				t.Errorf("crash at %v: %v", f.CrashAt, f.Error)
 			}
 		})
 	}
@@ -201,15 +220,16 @@ func TestRedoRollsForwardSomewhere(t *testing.T) {
 	p := smallParams
 	p.TxMode = persist.Redo
 	forward := 0
+	spec := specOf(t, config.SCA)
 	for _, w := range workloads.All() {
 		traces := BuildTraces(w, p, 1)
-		probe, err := replay.New(config.Default(config.SCA), traces)
+		probe, _, err := probeRun(spec, traces)
 		if err != nil {
 			t.Fatal(err)
 		}
-		end := probe.Run()
+		end := probe.RuntimeSoFar()
 		for i := 1; i <= 16; i++ {
-			res, err := InjectAt(config.Default(config.SCA), w, traces, end*sim.Time(i)/16)
+			res, err := inject(spec, w, traces, end*sim.Time(i)/16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,12 +253,12 @@ func TestOsirisMakesLegacySoftwareConsistent(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			rep, err := Sweep(config.Default(config.Osiris), w, legacy, 16)
+			rep, err := gridSweep(specOf(t, config.Osiris), w, legacy, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range rep.Failures() {
-				t.Errorf("crash at %v: %v (lost counters: %d)", f.CrashAt, f.Err, f.LostCounterLines)
+				t.Errorf("crash at %v: %v (lost counters: %d)", f.CrashAt, f.Error, f.LostCounterLines)
 			}
 		})
 	}
@@ -247,12 +267,12 @@ func TestOsirisMakesLegacySoftwareConsistent(t *testing.T) {
 // TestOsirisSurvivesWithPaperPrimitives: the same hardware also runs the
 // paper-primitive traces consistently (the primitives become no-ops).
 func TestOsirisSurvivesWithPaperPrimitives(t *testing.T) {
-	rep, err := Sweep(config.Default(config.Osiris), &workloads.BTree{}, smallParams, 12)
+	rep, err := gridSweep(specOf(t, config.Osiris), &workloads.BTree{}, smallParams, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("crash at %v: %v", f.CrashAt, f.Err)
+		t.Errorf("crash at %v: %v", f.CrashAt, f.Error)
 	}
 }
 
@@ -260,16 +280,16 @@ func TestOsirisSurvivesWithPaperPrimitives(t *testing.T) {
 // find the counter within N candidates; shrink the window to 1 and it
 // still must hold (every write forces a counter writeback).
 func TestOsirisStopLossBoundsLag(t *testing.T) {
-	cfg := config.Default(config.Osiris)
-	cfg.StopLoss = 1
+	spec := specOf(t, config.Osiris)
+	spec.StopLoss = 1
 	legacy := smallParams
 	legacy.Legacy = true
-	rep, err := Sweep(cfg, &workloads.ArraySwap{}, legacy, 12)
+	rep, err := gridSweep(spec, &workloads.ArraySwap{}, legacy, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("StopLoss=1 crash at %v: %v", f.CrashAt, f.Err)
+		t.Errorf("StopLoss=1 crash at %v: %v", f.CrashAt, f.Error)
 	}
 }
 
@@ -281,19 +301,19 @@ func TestLinkedListCrashMatrix(t *testing.T) {
 	w := &workloads.LinkedList{}
 	for _, d := range []config.Design{config.NoEncryption, config.CoLocated,
 		config.CoLocatedCC, config.FCA, config.SCA, config.Osiris} {
-		rep, err := Sweep(config.Default(d), w, smallParams, 12)
+		rep, err := gridSweep(specOf(t, d), w, smallParams, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range rep.Failures() {
-			t.Errorf("%v: crash at %v: %v", d, f.CrashAt, f.Err)
+			t.Errorf("%v: crash at %v: %v", d, f.CrashAt, f.Error)
 		}
 	}
 
 	legacy := smallParams
 	legacy.Legacy = true
 	legacy.Ops = 24
-	rep, err := Sweep(config.Default(config.Ideal), w, legacy, 24)
+	rep, err := gridSweep(specOf(t, config.Ideal), w, legacy, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,16 +326,16 @@ func TestLinkedListCrashMatrix(t *testing.T) {
 // candidate-search work, and the per-line trial count must respect the
 // stop-loss bound.
 func TestOsirisRecoveryCostAccounted(t *testing.T) {
-	cfg := config.Default(config.Osiris)
+	spec := specOf(t, config.Osiris)
 	p := smallParams
 	p.Legacy = true
 	traces := BuildTraces(&workloads.ArraySwap{}, p, 1)
-	probe, err := replay.New(cfg, traces)
+	probe, _, err := probeRun(spec, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := probe.Run()
-	res, err := InjectAt(cfg, &workloads.ArraySwap{}, traces, end/2)
+	cfg := probe.Cfg
+	res, err := inject(spec, &workloads.ArraySwap{}, traces, probe.RuntimeSoFar()/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,76 +354,15 @@ func TestOsirisRecoveryCostAccounted(t *testing.T) {
 // TestFourCoreCrashConsistency stresses the shared controller with four
 // cores mid-flight at every crash point.
 func TestFourCoreCrashConsistency(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCores(4)
+	spec := specOf(t, config.SCA)
+	spec.Cores = 4
 	for _, w := range []workloads.Workload{&workloads.HashTable{}, &workloads.LinkedList{}} {
-		rep, err := Sweep(cfg, w, smallParams, 6)
+		rep, err := gridSweep(spec, w, smallParams, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range rep.Failures() {
-			t.Errorf("%s: 4-core crash at %v: %v", w.Name(), f.CrashAt, f.Err)
-		}
-	}
-}
-
-// reportsEqual compares two sweep reports field by field; the parallel
-// sweep must reproduce the sequential one exactly, including the Osiris
-// recovery-cost accounting and per-point error strings.
-func reportsEqual(t *testing.T, seq, par Report) {
-	t.Helper()
-	if len(seq.Results) != len(par.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(seq.Results), len(par.Results))
-	}
-	for i := range seq.Results {
-		a, b := seq.Results[i], par.Results[i]
-		if a.CrashAt != b.CrashAt || a.LostCounterLines != b.LostCounterLines ||
-			a.RecoveredEntries != b.RecoveredEntries || a.CorruptLog != b.CorruptLog ||
-			a.Osiris != b.Osiris {
-			t.Errorf("point %d differs: %+v vs %+v", i, a, b)
-		}
-		aErr, bErr := "", ""
-		if a.Err != nil {
-			aErr = a.Err.Error()
-		}
-		if b.Err != nil {
-			bErr = b.Err.Error()
-		}
-		if aErr != bErr {
-			t.Errorf("point %d error differs: %q vs %q", i, aErr, bErr)
-		}
-	}
-}
-
-// TestSweepParallelDeterministic pins SweepJ's central property: the
-// sequential (workers=1) and parallel (workers=8) sweeps produce
-// identical reports, across two seeds and on both a surviving design
-// (SCA) and one with real failures (legacy software on Ideal).
-func TestSweepParallelDeterministic(t *testing.T) {
-	for _, seed := range []int64{21, 1234} {
-		p := smallParams
-		p.Seed = seed
-		for _, tc := range []struct {
-			design config.Design
-			legacy bool
-		}{
-			{config.SCA, false},
-			{config.Ideal, true},
-		} {
-			pp := p
-			pp.Legacy = tc.legacy
-			w := &workloads.ArraySwap{}
-			seq, err := SweepJ(config.Default(tc.design), w, pp, 10, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := SweepJ(config.Default(tc.design), w, pp, 10, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reportsEqual(t, seq, par)
-			if tc.legacy && len(seq.Failures()) == 0 {
-				t.Error("legacy sweep produced no failures to compare")
-			}
+			t.Errorf("%s: 4-core crash at %v: %v", w.Name(), f.CrashAt, f.Error)
 		}
 	}
 }

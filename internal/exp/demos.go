@@ -64,7 +64,7 @@ func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
 	legacy := p
 	legacy.Legacy = true
 	for _, w := range workloads.All() {
-		rep, err := crash.SweepJ(config.Default(config.Ideal), w, legacy, sc.CrashPoints, sc.Jobs)
+		rep, err := gridSweep(sc, config.Ideal, w, legacy)
 		if err != nil {
 			return res, err
 		}
@@ -74,7 +74,7 @@ func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
 			w.Name(), len(rep.Failures()), len(rep.Results))
 	}
 	for _, w := range workloads.All() {
-		rep, err := crash.SweepJ(config.Default(config.SCA), w, p, sc.CrashPoints, sc.Jobs)
+		rep, err := gridSweep(sc, config.SCA, w, p)
 		if err != nil {
 			return res, err
 		}
@@ -84,6 +84,21 @@ func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
 			w.Name(), len(rep.Failures()), len(rep.Results))
 	}
 	return res, nil
+}
+
+// gridSweep crashes the workload at sc.CrashPoints+1 instants spread
+// over its run on the built-in machine of design d.
+func gridSweep(sc Scale, d config.Design, w workloads.Workload, p workloads.Params) (crash.Report, error) {
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		return crash.Report{}, err
+	}
+	run, err := crash.RunCampaign(spec, w, p,
+		crash.CampaignOptions{GridPoints: sc.CrashPoints, Workers: sc.Jobs})
+	if err != nil {
+		return crash.Report{}, err
+	}
+	return run.Report, nil
 }
 
 // Fig8Result captures the transaction-stage write timelines under FCA and

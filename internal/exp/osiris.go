@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"encnvm/internal/config"
-	"encnvm/internal/crash"
 	"encnvm/internal/workloads"
 )
 
@@ -67,7 +66,7 @@ func Osiris(sc Scale, out io.Writer) (OsirisResult, error) {
 	p.Legacy = true
 	var trials, lines int
 	for _, w := range workloads.All() {
-		rep, err := crash.SweepJ(config.Default(config.Osiris), w, p, sc.CrashPoints, sc.Jobs)
+		rep, err := gridSweep(sc, config.Osiris, w, p)
 		if err != nil {
 			return res, err
 		}

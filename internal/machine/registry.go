@@ -9,7 +9,9 @@ package machine
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"encnvm/internal/config"
@@ -53,6 +55,26 @@ func ByName(name string) (*Spec, error) {
 	}
 	cp := *s
 	return &cp, nil
+}
+
+// LoadSpec resolves the machine a front end's flags select: the spec
+// file at path when non-empty, else the registered spec named design
+// with its core count set to cores.
+func LoadSpec(path, design string, cores int) (*Spec, error) {
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return DecodeSpec(f)
+	}
+	spec, err := ByName(design)
+	if err != nil {
+		return nil, fmt.Errorf("unknown design %q (valid: %s)", design, strings.Join(Names(), "|"))
+	}
+	spec.Cores = cores
+	return spec, nil
 }
 
 // Names lists the registered machine names, sorted.

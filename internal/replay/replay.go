@@ -99,50 +99,15 @@ type core struct {
 // stage and opens the next.
 var txStageNames = [...]string{"log", "log-seal", "mutate", "commit-switch"}
 
-// New builds a system that will replay one trace per core. len(traces)
-// must equal cfg.NumCores. The machine is assembled through the builder
-// (machine.FromConfig): PCM backend, engine chosen by cfg.Design.
-func New(cfg *config.Config, traces []*trace.Trace) (*System, error) {
-	return NewSources(cfg, trace.Sources(traces))
-}
-
-// NewSources is New over trace cursors: the path that replays binary
-// trace files without materializing []trace.Op.
-func NewSources(cfg *config.Config, srcs []trace.Source) (*System, error) {
-	m, err := machine.FromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewMachineSources(m, srcs)
-}
-
-// NewSpec builds a system for a declarative machine spec — the path that
-// reaches custom engines, sizings, and non-PCM backends.
-func NewSpec(spec *machine.Spec, traces []*trace.Trace) (*System, error) {
-	return NewSpecSources(spec, trace.Sources(traces))
-}
-
-// NewSpecSources is NewSpec over trace cursors.
-func NewSpecSources(spec *machine.Spec, srcs []trace.Source) (*System, error) {
-	m, err := machine.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewMachineSources(m, srcs)
-}
-
-// NewMachine attaches replay cores to an assembled machine. len(traces)
-// must equal the machine's core count.
-func NewMachine(m *machine.Machine, traces []*trace.Trace) (*System, error) {
-	return NewMachineSources(m, trace.Sources(traces))
-}
-
-// NewMachineSources attaches replay cores that iterate trace cursors.
-// Every source is validated (BinReader validates at construction and
-// reports nil here), and the source lengths pre-size the event queue,
-// the device write log, and the per-transaction history so the replay
-// hot loop runs without growth allocations.
-func NewMachineSources(m *machine.Machine, srcs []trace.Source) (*System, error) {
+// NewMachine attaches replay cores to an assembled machine, one trace
+// cursor per core; len(srcs) must equal the machine's core count. The
+// type parameter lets in-memory traces ([]*trace.Trace) and binary
+// cursors ([]*trace.BinReader) pass without an adapter. Every source is
+// validated (BinReader validates at construction and reports nil here),
+// and the source lengths pre-size the event queue, the device write log,
+// and the per-transaction history so the replay hot loop runs without
+// growth allocations.
+func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 	cfg := m.Cfg
 	if len(srcs) != cfg.NumCores {
 		return nil, fmt.Errorf("replay: %d traces for %d cores", len(srcs), cfg.NumCores)
@@ -160,7 +125,8 @@ func NewMachineSources(m *machine.Machine, srcs []trace.Source) (*System, error)
 		caLine: make(map[mem.Addr]bool),
 	}
 	totalOps := 0
-	for i, src := range srcs {
+	for i, s := range srcs {
+		src := trace.Source(s) // a type parameter does not compare with nil
 		if src == nil {
 			return nil, fmt.Errorf("replay: core %d: nil trace source", i)
 		}
@@ -222,7 +188,7 @@ func (c *core) mark(at sim.Time) {
 // AttachProbe wires the observability probe through every layer of the
 // system — device, controller, and cores — and, when a metrics sink is
 // attached, hooks the engine clock and registers the standard column set.
-// Call after New and before Start/Run. A nil probe is a no-op.
+// Call after NewMachine and before Start/Run. A nil probe is a no-op.
 func (s *System) AttachProbe(p *probe.Probe) {
 	if p == nil {
 		return

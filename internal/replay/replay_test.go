@@ -5,6 +5,7 @@ import (
 
 	"encnvm/internal/config"
 	"encnvm/internal/ctrenc"
+	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/sim"
 	"encnvm/internal/stats"
@@ -34,10 +35,20 @@ func simpleTrace(base mem.Addr, n int) *trace.Trace {
 	return tr
 }
 
+// newSys builds the machine a configuration describes and attaches one
+// replay core per trace.
+func newSys(cfg *config.Config, trs []*trace.Trace) (*System, error) {
+	m, err := machine.FromConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewMachine(m, trs)
+}
+
 func runOne(t *testing.T, d config.Design, trs ...*trace.Trace) (*System, sim.Time) {
 	t.Helper()
 	cfg := config.Default(d).WithCores(len(trs))
-	sys, err := New(cfg, trs)
+	sys, err := newSys(cfg, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +74,7 @@ func decrypt(sys *System, addr mem.Addr) (mem.Line, bool) {
 
 func TestTraceCountMismatch(t *testing.T) {
 	cfg := config.Default(config.SCA) // 1 core
-	if _, err := New(cfg, []*trace.Trace{{}, {}}); err == nil {
+	if _, err := newSys(cfg, []*trace.Trace{{}, {}}); err == nil {
 		t.Fatal("2 traces on 1 core accepted")
 	}
 }
@@ -209,7 +220,7 @@ func TestThroughputAccounting(t *testing.T) {
 
 func TestRunUntilStopsEarly(t *testing.T) {
 	cfg := config.Default(config.SCA)
-	sys, err := New(cfg, []*trace.Trace{simpleTrace(0, 16)})
+	sys, err := newSys(cfg, []*trace.Trace{simpleTrace(0, 16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +340,7 @@ func TestOsirisReplayEndToEnd(t *testing.T) {
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	cfg := config.Default(config.SCA)
 	cfg.NumCores = 0
-	if _, err := New(cfg, nil); err == nil {
+	if _, err := newSys(cfg, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -337,7 +348,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 func TestNewRejectsInvalidTrace(t *testing.T) {
 	bad := &trace.Trace{}
 	bad.Append(trace.Op{Kind: trace.TxEnd}) // unbalanced
-	if _, err := New(config.Default(config.SCA), []*trace.Trace{bad}); err == nil {
+	if _, err := newSys(config.Default(config.SCA), []*trace.Trace{bad}); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
 }

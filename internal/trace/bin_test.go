@@ -286,16 +286,6 @@ func TestSourceHelpers(t *testing.T) {
 			}
 		}
 	}
-	srcs := Sources([]*Trace{tr})
-	if err := ValidateSources(srcs); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateSources(BinSources(rs)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateSources([]Source{nil}); err == nil {
-		t.Error("nil source accepted")
-	}
 }
 
 func TestReadTracesFileMissing(t *testing.T) {

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"fmt"
-
-	"encnvm/internal/mem"
-)
+import "encnvm/internal/mem"
 
 // Source is a read-only cursor over one core's operation stream. It is
 // the seam between trace producers and the replay/verification
@@ -24,38 +20,6 @@ type Source interface {
 	// Trace.Validate). Implementations that validate at construction
 	// time may return nil unconditionally.
 	Validate() error
-}
-
-// Sources adapts a per-core trace set to the Source interface.
-func Sources(traces []*Trace) []Source {
-	out := make([]Source, len(traces))
-	for i, tr := range traces {
-		out[i] = tr
-	}
-	return out
-}
-
-// BinSources adapts a decoded per-core binary trace set to Source.
-func BinSources(rs []*BinReader) []Source {
-	out := make([]Source, len(rs))
-	for i, r := range rs {
-		out[i] = r
-	}
-	return out
-}
-
-// ValidateSources validates one source per core, reporting the
-// offending core — the Source-shaped sibling of ValidateAll.
-func ValidateSources(srcs []Source) error {
-	for i, s := range srcs {
-		if s == nil {
-			return fmt.Errorf("trace: core %d: nil source", i)
-		}
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("core %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Materialize copies a source into an in-memory Trace. Consumers that
