@@ -294,6 +294,26 @@ func BenchmarkReplayPerDesign(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayLarge measures replay of a structure sized past the
+// one-core 2 MiB L2: arrayswap over 1<<19 8-byte slots (4 MiB), sized as
+// perfbench's large cells are. Its writebacks keep the controller's data
+// write queue full, so it times the acceptance scan under saturation.
+// The trace is built once, outside the timer.
+func BenchmarkReplayLarge(b *testing.B) {
+	w, _ := workloads.ByName("arrayswap")
+	traces := crash.BuildTraces(w, workloads.Params{Seed: 1, Items: 1 << 19, Ops: 128}, 1)
+	for _, d := range []config.Design{config.NoEncryption, config.SCA} {
+		d := d
+		b.Run(d.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunTraces(config.Default(d), w.Name(), traces); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkReplayObserved measures the same replay with the observability
 // layer in its three states: detached (the nil-probe hot path every normal
 // run pays), sink-attached tracing, and windowed metrics. Compare the

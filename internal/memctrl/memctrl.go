@@ -104,6 +104,11 @@ type Controller struct {
 	counterQ  []*entry
 	pending   []*writeReq // FIFO accept queue (backpressure)
 	accepting bool        // reentrancy guard for tryAccept
+	// spare is pending's second buffer: an acceptance pass compacts the
+	// survivors in place while requests arriving during the pass collect
+	// here, and the two buffers swap roles each pass. Both grow to the
+	// FIFO's high-water mark once and are reused from then on.
+	spare []*writeReq
 
 	// entryPool recycles queue entries (ROADMAP item 2: entry pooling).
 	// The queues are bounded by the configured capacities, so New
@@ -540,6 +545,12 @@ func (mc *Controller) packCounterLine(cl mem.Addr) mem.Line {
 //     counters of every write the program issued before it. Plain data
 //     writes may bypass stalled CA and counter writes, which is what lets
 //     SCA scale with core count (Fig. 13).
+//
+// Out of order, a request that fails while the data queue is full ends
+// the pass: the queue cannot drain inside acceptance, and the failure
+// blocks every younger counter and CA write, so the rest of the window
+// fails too. Its write-queue stalls and ready-bit waits are counted as if
+// it had been scanned (DESIGN.md, "Counter-atomicity protocol").
 func (mc *Controller) tryAccept() {
 	if mc.accepting {
 		// Acceptance can enqueue new writes (counter-cache eviction
@@ -569,16 +580,17 @@ func (mc *Controller) tryAccept() {
 		nBlocked := 0
 
 		// Detach the list: acceptance can enqueue fresh requests
-		// (counter-cache eviction writebacks), which land on the
-		// now-empty mc.pending and are merged behind the survivors.
+		// (counter-cache eviction writebacks), which land in the spare
+		// buffer and are merged behind the survivors. The survivors
+		// are compacted in place into pending[:n].
 		pending := mc.pending
-		mc.pending = nil
-		var keep []*writeReq
+		mc.pending = mc.spare[:0]
+		n := 0
 
 		for i := 0; i < len(pending); i++ {
-			if len(keep) >= acceptWindow {
+			if n >= acceptWindow {
 				// Lookahead exhausted; everything younger waits.
-				keep = append(keep, pending[i:]...)
+				n += copy(pending[n:], pending[i:])
 				break
 			}
 			req := pending[i]
@@ -634,21 +646,57 @@ func (mc *Controller) tryAccept() {
 				}
 				mc.putReq(req)
 				progress = true
-			} else {
-				stalls++
-				keep = append(keep, req)
-				if fifo {
-					// Strict FIFO: nothing younger may pass.
-					keep = append(keep, pending[i+1:]...)
-					break
+				continue
+			}
+			stalls++
+			pending[n] = req
+			n++
+			if !fifo {
+				if len(mc.dataQ) < mc.cfg.DataWriteQueue {
+					continue
+				}
+				// Full data queue: every younger request in the
+				// window fails too, so count what scanning them
+				// would and stop.
+				rest := pending[i+1:]
+				rest = rest[:min(len(rest), acceptWindow-n)]
+				stalls += uint64(len(rest))
+				if w := mc.readyBitWaitsOnFullQueue(rest); w > 0 {
+					mc.st.Inc(stats.ReadyBitWaits, w)
 				}
 			}
+			// Strict FIFO, or nothing more can be accepted this
+			// pass: everything younger waits, in order.
+			n += copy(pending[n:], pending[i+1:])
+			break
 		}
-		mc.pending = append(keep, mc.pending...)
+		// Swap buffers; the clears drop stale pointers so pool-overflow
+		// requests can be collected.
+		arrivals := mc.pending
+		clear(pending[n:])
+		mc.pending = append(pending[:n], arrivals...)
+		clear(arrivals)
+		mc.spare = arrivals[:0]
 		if !progress || len(mc.pending) == 0 {
 			return
 		}
 	}
+}
+
+// readyBitWaitsOnFullQueue counts the ready-bit waits that failing the
+// requests in rest on a full data queue records: one per CA write whose
+// counter half has room, exactly as the scan's CA case would. Only
+// out-of-order acceptance gets here, so coalescing into an unissued
+// counter entry counts as room.
+func (mc *Controller) readyBitWaitsOnFullQueue(rest []*writeReq) uint64 {
+	ctrRoom := len(mc.counterQ) < mc.cfg.CounterWriteQueue
+	var w uint64
+	for _, r := range rest {
+		if !r.isCtr && r.ca && (ctrRoom || mc.hasUnissuedCounter(mc.layout.CounterLine(r.addr))) {
+			w++
+		}
+	}
+	return w
 }
 
 // lineBlocked reports whether a is in the blocked-line set. A plain

@@ -357,6 +357,48 @@ func TestCounterWriteNeverBypassesDataWrite(t *testing.T) {
 	}
 }
 
+func TestFailingScanAllocationFree(t *testing.T) {
+	// Fill the data queue at t=0 and leave a backlog of plain and CA
+	// writes (every fourth) twice the acceptance window long. A scan
+	// then accepts nothing: it must allocate nothing, count one stall per
+	// request the window covers, and one ready-bit wait per windowed CA
+	// write, since the counter queue still has room for its half.
+	r := newRig(config.SCA)
+	n := r.cfg.DataWriteQueue + 2*acceptWindow
+	r.eng.Schedule(0, func() {
+		for i := 0; i < n; i++ {
+			r.mc.Write(mem.Addr(i*64), lineOf(byte(i)), i%4 == 0, nil)
+		}
+	})
+	r.eng.RunUntil(0)
+	if d, c := r.mc.QueueOccupancy(); d != r.cfg.DataWriteQueue || c >= r.cfg.CounterWriteQueue {
+		t.Fatalf("occupancy = %d/%d, want a full data queue and counter room", d, c)
+	}
+	if got := r.mc.Backlog(); got != 2*acceptWindow {
+		t.Fatalf("backlog = %d, want %d", got, 2*acceptWindow)
+	}
+	stalls, waits := r.st.Count(stats.WriteQueueStalls), r.st.Count(stats.ReadyBitWaits)
+	r.mc.tryAccept()
+	if got := r.st.Count(stats.WriteQueueStalls) - stalls; got != acceptWindow {
+		t.Fatalf("one scan counted %d stalls, want %d", got, acceptWindow)
+	}
+	if got := r.st.Count(stats.ReadyBitWaits) - waits; got != acceptWindow/4 {
+		t.Fatalf("one scan counted %d ready-bit waits, want %d", got, acceptWindow/4)
+	}
+	stalls = r.st.Count(stats.WriteQueueStalls)
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, r.mc.tryAccept); allocs != 0 {
+		t.Fatalf("failing scan allocates %v times, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the measured runs.
+	if got := r.st.Count(stats.WriteQueueStalls) - stalls; got != (runs+1)*acceptWindow {
+		t.Fatalf("%d scans counted %d stalls, want %d", runs+1, got, (runs+1)*acceptWindow)
+	}
+	if got := r.mc.Backlog(); got != 2*acceptWindow {
+		t.Fatalf("backlog = %d after failing scans, want %d", got, 2*acceptWindow)
+	}
+}
+
 func TestDrainADRPersistsQueuedEntries(t *testing.T) {
 	r := newRig(config.SCA)
 	// Schedule a write and crash "immediately" after acceptance, long

@@ -49,6 +49,7 @@ type System struct {
 	caLine map[mem.Addr]bool
 
 	finished int
+	started  bool
 	flushed  bool
 	// firstTx is when the first TxBegin retired on any core; the
 	// measured phase of a run (the paper's methodology) excludes the
@@ -66,6 +67,13 @@ type core struct {
 	n   int      // src.Len(), cached for the hot loop
 	cur trace.Op // scratch decode target; src.Op(pc, &cur) is allocation-free
 	pc  int
+
+	// stepFn and writebackDoneFn are c.step and c.writebackDone bound
+	// once at attach: a method value allocates each time it is taken,
+	// and the hot loop hands them to the engine and the controller once
+	// per scheduled op and per tracked writeback.
+	stepFn          func()
+	writebackDoneFn func()
 
 	// retire, when non-nil, records the retire instant of every op (the
 	// simulated time by which the op's effects are in the machine and
@@ -134,10 +142,12 @@ func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 			return nil, fmt.Errorf("replay: core %d: %w", i, err)
 		}
 		totalOps += src.Len()
-		sys.cores = append(sys.cores, &core{
+		c := &core{
 			sys: sys, id: i, l1: cache.New(cfg.L1), src: src, n: src.Len(),
 			txEnds: make([]sim.Time, trace.CountKind(src, trace.TxEnd)),
-		})
+		}
+		c.stepFn, c.writebackDoneFn = c.step, c.writebackDone
+		sys.cores = append(sys.cores, c)
 	}
 	// The event queue holds in-flight events (bounded by cores plus
 	// controller occupancy), not one per op; a modest trace-scaled
@@ -221,11 +231,16 @@ func (s *System) AttachProbe(p *probe.Probe) {
 	mw.Utilization("nvm.bus_util", func() float64 { return float64(s.Dev.BusBusyTime()) })
 }
 
-// Start schedules every core's first step at t=0.
+// Start schedules every core's first step at t=0. Only the first call
+// does anything, so Run and repeated RunUntil calls resume the replay
+// instead of starting a second step chain per core.
 func (s *System) Start() {
+	if s.started {
+		return
+	}
+	s.started = true
 	for _, c := range s.cores {
-		c := c
-		s.Eng.Schedule(0, c.step)
+		s.Eng.Schedule(0, c.stepFn)
 	}
 }
 
@@ -247,7 +262,8 @@ func (s *System) Run() sim.Time {
 
 // RunUntil replays until the simulated deadline and returns the time
 // reached — the crash-injection entry point. No flush happens; the caller
-// owns ADR draining.
+// owns ADR draining. Calls with increasing deadlines advance one replay:
+// RunUntil(a) then RunUntil(b) leaves the machine as RunUntil(b) does.
 func (s *System) RunUntil(deadline sim.Time) sim.Time {
 	s.Start()
 	return s.Eng.RunUntil(deadline)
@@ -478,7 +494,7 @@ func (c *core) step() {
 
 	case trace.CCWB:
 		c.outstanding++
-		c.sys.MC.CounterWriteback(op.Addr, c.writebackDone)
+		c.sys.MC.CounterWriteback(op.Addr, c.writebackDoneFn)
 		c.next(cfg.CounterCache.HitTime)
 
 	default:
@@ -487,7 +503,7 @@ func (c *core) step() {
 }
 
 // next schedules the following op after the given delay.
-func (c *core) next(d sim.Time) { c.sys.Eng.Schedule(d, c.step) }
+func (c *core) next(d sim.Time) { c.sys.Eng.Schedule(d, c.stepFn) }
 
 // read services a load: L1, then L2, then a blocking memory fetch.
 func (c *core) read(addr mem.Addr) {
@@ -546,7 +562,7 @@ func (c *core) clwb(addr mem.Addr) {
 	if d1 || d2 {
 		c.outstanding++
 		sys.St.Inc(stats.Clwbs, 1)
-		sys.MC.Write(line, sys.plain.ReadLine(line), sys.caLine[line], c.writebackDone)
+		sys.MC.Write(line, sys.plain.ReadLine(line), sys.caLine[line], c.writebackDoneFn)
 	}
 	c.next(sys.Cfg.L1.HitTime)
 }

@@ -1,15 +1,18 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 
 	"encnvm/internal/config"
 	"encnvm/internal/ctrenc"
 	"encnvm/internal/machine"
 	"encnvm/internal/mem"
+	"encnvm/internal/persist"
 	"encnvm/internal/sim"
 	"encnvm/internal/stats"
 	"encnvm/internal/trace"
+	"encnvm/internal/workloads"
 )
 
 func lineOf(b byte) mem.Line {
@@ -227,6 +230,61 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	at := sys.RunUntil(50 * sim.Nanosecond)
 	if at > 50*sim.Nanosecond {
 		t.Fatalf("ran past deadline: %v", at)
+	}
+}
+
+func TestRepeatedRunUntilMatchesOne(t *testing.T) {
+	// Advancing a machine in two RunUntil steps must execute exactly the
+	// events one RunUntil to the later deadline does: the cores start
+	// once per System, not once per call.
+	w, err := workloads.ByName("queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workloads.Params{Seed: 1, Items: 16, Ops: 8}
+	rt := persist.NewRuntime(persist.ArenaFor(0, 64<<20))
+	w.Setup(rt, p)
+	w.Run(rt, p)
+	tr := rt.Trace()
+	for _, name := range machine.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			build := func() *System {
+				spec, err := machine.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Cores = 1
+				m, err := machine.Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys, err := NewMachine(m, []*trace.Trace{tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			end := build().Run()
+			twice := build()
+			twice.RunUntil(end / 3)
+			twice.RunUntil(end / 2)
+			once := build()
+			once.RunUntil(end / 2)
+			if g, w := twice.Eng.Steps(), once.Eng.Steps(); g != w {
+				t.Errorf("events: %d after two RunUntil calls, %d after one", g, w)
+			}
+			if g, w := twice.St.String(), once.St.String(); g != w {
+				t.Errorf("stats differ:\n two calls:\n%s\n one call:\n%s", g, w)
+			}
+			if !reflect.DeepEqual(twice.Dev.Image().Writes(), once.Dev.Image().Writes()) {
+				t.Errorf("device write log: %d writes after two calls, %d after one",
+					len(twice.Dev.Image().Writes()), len(once.Dev.Image().Writes()))
+			}
+			if g, w := twice.MC.DirtyCounterLines(), once.MC.DirtyCounterLines(); !reflect.DeepEqual(g, w) {
+				t.Errorf("dirty counter lines: %v after two calls, %v after one", g, w)
+			}
+		})
 	}
 }
 
