@@ -27,12 +27,14 @@
 //	    entry's valid switch is persistent — mutating the only
 //	    recoverable version while the backup is not yet committed.
 //
-// Rules are small Rule implementations over a shared State; new ordering
-// properties slot in without touching the engine.
+// The rules read the static verifier's per-line persistence state
+// (verify.State, under its default model) and keep only their own
+// bookkeeping: R1 the stores it reported, R2 the unfenced writebacks, R3
+// each counter group's writeback status, R5 the latest log switch.
 package check
 
 import (
-	"encnvm/internal/mem"
+	"encnvm/internal/check/verify"
 	"encnvm/internal/persist"
 	"encnvm/internal/trace"
 )
@@ -41,40 +43,35 @@ import (
 type Options struct {
 	// Arenas locates per-core log regions so R5 can tell in-place
 	// mutations (heap) apart from log-entry writes. Leaving it empty
-	// and IsLog nil disables R5; R1–R4 never need it.
+	// disables R5; R1–R4 never need it.
 	Arenas []persist.Arena
-	// IsLog overrides the log-region classifier derived from Arenas.
-	IsLog func(addr mem.Addr) bool
-	// Rules overrides the rule set; nil means DefaultRules().
-	Rules []Rule
 }
 
-// Rule checks one ordering property over the evolving persistence state.
-// Check runs before the engine applies op i, so the rule observes the
-// machine exactly as the op finds it; Finish runs once after the last op.
-// Rules may carry per-run state, so a fresh instance is needed per Check
-// call (DefaultRules returns fresh instances).
-type Rule interface {
+// rule checks one ordering property over the evolving persistence state.
+// Check runs before the state applies op i, so the rule observes the
+// machine exactly as the op finds it; Finish runs once after the last
+// op. Rules carry per-run state, so a fresh instance is needed per
+// linter run (defaultRules returns fresh instances).
+type rule interface {
 	// ID is the stable diagnostic tag ("R1".."R5").
 	ID() string
 	// Doc is the one-line description shown by tooling.
 	Doc() string
-	Check(s *State, i int, op trace.Op) []Diagnostic
-	Finish(s *State, n int) []Diagnostic
+	Check(s *verify.State, i int, op trace.Op) []Diagnostic
+	Finish(s *verify.State, n int) []Diagnostic
 }
 
 // Check lints the trace and returns all diagnostics, sorted by op index.
 // Malformed ops (per trace.Op.Validate) and unbalanced transaction
-// markers are reported under the pseudo-rule R0 and excluded from the
-// persistence state machine rather than trusted. The trace arrives as a
-// cursor so campaigns can lint binary trace files they never
-// materialize; *trace.Trace satisfies Source directly.
+// markers — nested, stray or never closed — are reported under the
+// pseudo-rule R0, and the ops are excluded from the persistence state
+// machine rather than trusted. The trace arrives as a cursor so
+// campaigns can lint binary trace files they never materialize;
+// *trace.Trace satisfies Source directly.
 func Check(tr trace.Source, opts Options) []Diagnostic {
-	rules := opts.Rules
-	if rules == nil {
-		rules = DefaultRules()
-	}
-	s := newState(opts)
+	rules := defaultRules()
+	s := verify.NewState(verify.Options{Arenas: opts.Arenas})
+	txBegin := 0
 	var diags []Diagnostic
 	var op trace.Op
 	n := tr.Len()
@@ -89,15 +86,16 @@ func Check(tr trace.Source, opts Options) []Diagnostic {
 		}
 		switch op.Kind {
 		case trace.TxBegin:
-			if s.inTx {
+			if s.InTx() {
 				diags = append(diags, Diagnostic{
 					Rule: "R0", OpIndex: i,
 					Message: "nested TxBegin",
 				})
 				continue
 			}
+			txBegin = i
 		case trace.TxEnd:
-			if !s.inTx {
+			if !s.InTx() {
 				diags = append(diags, Diagnostic{
 					Rule: "R0", OpIndex: i,
 					Message: "TxEnd without TxBegin",
@@ -108,7 +106,13 @@ func Check(tr trace.Source, opts Options) []Diagnostic {
 		for _, r := range rules {
 			diags = append(diags, r.Check(s, i, op)...)
 		}
-		s.apply(i, op)
+		s.Apply(i, op)
+	}
+	if s.InTx() {
+		diags = append(diags, Diagnostic{
+			Rule: "R0", OpIndex: txBegin,
+			Message: "TxBegin without TxEnd",
+		})
 	}
 	for _, r := range rules {
 		diags = append(diags, r.Finish(s, n)...)

@@ -42,22 +42,23 @@ func txe() trace.Op            { return trace.Op{Kind: trace.TxEnd} }
 
 func mkTrace(ops ...trace.Op) *trace.Trace { return &trace.Trace{Ops: ops} }
 
-// checkWith lints tr with only the rule whose ID is given (or all rules
-// for "all"), using the test arena for log classification.
+// checkWith lints tr using the test arena for log classification and
+// keeps only the diagnostics of the rule whose ID is given (or all of
+// them for "all"). Rules do not interact, so filtering the output is
+// linting with that rule alone.
 func checkWith(t *testing.T, tr *trace.Trace, ruleID string) []Diagnostic {
 	t.Helper()
-	opts := Options{Arenas: []persist.Arena{testArena()}}
-	if ruleID != "all" {
-		for _, r := range DefaultRules() {
-			if r.ID() == ruleID {
-				opts.Rules = []Rule{r}
-			}
-		}
-		if opts.Rules == nil {
-			t.Fatalf("no rule %q", ruleID)
+	ds := Check(tr, Options{Arenas: []persist.Arena{testArena()}})
+	if ruleID == "all" {
+		return ds
+	}
+	var out []Diagnostic
+	for _, d := range ds {
+		if d.Rule == ruleID {
+			out = append(out, d)
 		}
 	}
-	return Check(tr, opts)
+	return out
 }
 
 // expectDiags asserts that the diagnostics are exactly the given
@@ -236,6 +237,12 @@ func TestMalformedOps(t *testing.T) {
 	ds := Check(bad, Options{})
 	expectDiags(t, ds,
 		[2]interface{}{"R0", 0}, [2]interface{}{"R0", 1}, [2]interface{}{"R0", 2})
+
+	// A transaction still open at the end of the trace is unbalanced too:
+	// one R0 at its TxBegin, while the rules still lint its body.
+	open := mkTrace(txb(), wr(h), clwb(h), ccwb(h), fence())
+	ds = Check(open, Options{Arenas: []persist.Arena{testArena()}})
+	expectDiags(t, ds, [2]interface{}{"R0", 0}, [2]interface{}{"R5", 1})
 }
 
 // Without arenas, R5 stays silent (it cannot classify log writes) while

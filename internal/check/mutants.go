@@ -63,6 +63,9 @@ func lastWriteTo(tr *trace.Trace, addr mem.Addr, limit int) int {
 func Anatomize(tr *trace.Trace) (TxAnatomy, error) {
 	var a TxAnatomy
 	a.Begin = FindKind(tr, trace.TxBegin, 0, 0)
+	if a.Begin < 0 {
+		return a, fmt.Errorf("check: no transaction to anatomize")
+	}
 	a.ValidCA = FindCounterAtomic(tr, a.Begin, 0)
 	a.CommitCA = FindCounterAtomic(tr, a.Begin, 1)
 	a.PrepCCWB = FindKind(tr, trace.CCWB, a.Begin, 0)

@@ -7,6 +7,7 @@ import (
 
 	"encnvm/internal/persist"
 	"encnvm/internal/runner"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -96,43 +97,54 @@ func TestMutantsLinkedList(t *testing.T) {
 }
 
 // MutantByName must regenerate exactly the cataloged mutant — the
-// property cmd/crashtest -schedule relies on to replay counterexamples.
-// Regeneration of each mutant is independent, so this also shards.
+// property cmd/crashtest -schedule relies on to replay counterexamples —
+// from both catalogs: a linked-list trace has no transaction, so the
+// transactional catalog must fail cleanly before the list catalog is
+// searched. Regeneration of each mutant is independent, so this also
+// shards.
 func TestMutantByName(t *testing.T) {
-	tr := buildTrace(t, &workloads.ArraySwap{}, testParams())
-	ms, err := TxMutants(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type verdict struct{ fail string }
-	verdicts, err := runner.MapValues(context.Background(), ms,
-		func(_ context.Context, want Mutant) (verdict, error) {
-			got, err := MutantByName(tr, want.Name)
-			if err != nil {
-				return verdict{fmt.Sprintf("%s: %v", want.Name, err)}, nil
-			}
-			if got.Trace.Len() != want.Trace.Len() {
-				return verdict{fmt.Sprintf("%s: regenerated length %d != %d",
-					want.Name, got.Trace.Len(), want.Trace.Len())}, nil
-			}
-			for i := range want.Trace.Ops {
-				if got.Trace.Ops[i] != want.Trace.Ops[i] {
-					return verdict{fmt.Sprintf("%s: regenerated trace differs at op %d", want.Name, i)}, nil
-				}
-			}
-			return verdict{}, nil
-		},
-		runner.Options{Label: func(i int) string { return "regen/" + ms[i].Name }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range verdicts {
-		if v.fail != "" {
-			t.Error(v.fail)
+	for _, c := range []struct {
+		w   workloads.Workload
+		gen func(*trace.Trace) ([]Mutant, error)
+	}{
+		{&workloads.ArraySwap{}, TxMutants},
+		{&workloads.LinkedList{}, ListMutants},
+	} {
+		tr := buildTrace(t, c.w, testParams())
+		ms, err := c.gen(tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := MutantByName(tr, "no-such-mutant"); err == nil {
-		t.Fatal("unknown mutant name not rejected")
+		type verdict struct{ fail string }
+		verdicts, err := runner.MapValues(context.Background(), ms,
+			func(_ context.Context, want Mutant) (verdict, error) {
+				got, err := MutantByName(tr, want.Name)
+				if err != nil {
+					return verdict{fmt.Sprintf("%s: %v", want.Name, err)}, nil
+				}
+				if got.Trace.Len() != want.Trace.Len() {
+					return verdict{fmt.Sprintf("%s: regenerated length %d != %d",
+						want.Name, got.Trace.Len(), want.Trace.Len())}, nil
+				}
+				for i := range want.Trace.Ops {
+					if got.Trace.Ops[i] != want.Trace.Ops[i] {
+						return verdict{fmt.Sprintf("%s: regenerated trace differs at op %d", want.Name, i)}, nil
+					}
+				}
+				return verdict{}, nil
+			},
+			runner.Options{Label: func(i int) string { return "regen/" + ms[i].Name }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range verdicts {
+			if v.fail != "" {
+				t.Error(v.fail)
+			}
+		}
+		if _, err := MutantByName(tr, "no-such-mutant"); err == nil {
+			t.Fatalf("%s: unknown mutant name not rejected", c.w.Name())
+		}
 	}
 }
 

@@ -1,32 +1,19 @@
-// Package prune promotes the crash-point equivalence classes the static
-// verifier enumerates (internal/check/verify) into a first-class,
-// certificate-carrying analysis artifact: a deterministic, schema-tagged
-// partition of a trace's per-op crash points into classes, each with one
-// representative point and a machine-checkable certificate — the
-// abstract persisted/in-flight state that justifies merging the class.
+// Package prune partitions a trace's per-op crash points into the
+// crash-point equivalence classes the static verifier enumerates
+// (internal/check/verify): a deterministic tiling of the crash gaps into
+// classes, each with one representative point.
 //
 // # Crash points and classes
 //
 // For a trace of N ops, the per-op crash-point space is the N+1 "gaps":
 // gap k is a power failure after the first k ops have retired and before
 // op k takes effect (gap 0 precedes everything; gap N follows the whole
-// trace). The verifier's abstract interpretation opens a new class only
-// at ops that can change the reachable persisted-image set
-// (Write/Clwb/CCWB/Sfence); every other op leaves the abstract state —
-// the per-line persist-set facts — untouched, so the gaps between two
-// consecutive class-opening ops all observe the same abstract state.
-// That shared state is the class's certificate.
+// trace). A new class opens only at ops that can change the reachable
+// persisted-image set — Write/Clwb/CCWB/Sfence, the op kinds
+// verify.OpensClass names — so the gaps between two consecutive
+// class-opening ops all observe the same abstract state.
 //
-// # Certificates and checking
-//
-// The certificate is exactly what the invariants V1–V4 can observe
-// (verify.ClassState): per-line data/counter facts, the epoch ordinal,
-// transaction and log-seal context. Check re-runs the abstract
-// interpreter over the trace and structurally compares every certificate
-// and every gap range, so a consumer holding only the partition file can
-// confirm it against the trace without trusting its producer.
-//
-// # What the certificate does and does not prove
+// # What a class does and does not prove
 //
 // Classes certify equality of the ABSTRACT state: crash points in one
 // class are indistinguishable to the verifier's invariants. They do not
@@ -43,32 +30,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"reflect"
 
 	"encnvm/internal/check/verify"
-	"encnvm/internal/mem"
 	"encnvm/internal/persist"
 	"encnvm/internal/trace"
 )
 
-// Schema tags the partition wire format.
-const Schema = "encnvm/crash-classes/v1"
-
-// Options configures one partition computation. The fields mirror
-// verify.Options: the partition must be computed under the same log
-// classifier and engine model the verification ran under, or Check will
-// reject it.
+// Options configures one partition computation.
 type Options struct {
-	// Arenas locates per-core log regions (log-seal detection).
+	// Arenas is unused: class boundaries depend on op kinds alone. It
+	// stays only because the host benchmark (perfbench) sets it.
 	Arenas []persist.Arena
-	// IsLog overrides the classifier derived from Arenas.
-	IsLog func(addr mem.Addr) bool
-	// Model selects engine-dependent persistence semantics (nil: the
-	// default SCA-style model). The model changes the facts inside
-	// certificates, never the class boundaries — classes open at
-	// Write/Clwb/CCWB/Sfence ops regardless of engine.
-	Model *verify.Model
 }
 
 // Class is one crash-point equivalence class.
@@ -85,76 +57,56 @@ type Class struct {
 	// Representative is the gap a pruned campaign simulates for the
 	// whole class — always the first gap of the interval.
 	Representative int `json:"rep"`
-	// Cert is the machine-checkable certificate: the abstract state
-	// every gap in the class observes.
-	Cert verify.ClassState `json:"cert"`
 }
 
 // Size returns the number of crash gaps the class covers.
 func (c Class) Size() int { return c.Gaps[1] - c.Gaps[0] }
 
-// Partition is the full analysis artifact for one trace.
+// Partition is the full class tiling of one trace.
 type Partition struct {
-	Schema  string  `json:"schema"`
 	Ops     int     `json:"ops"`  // trace length
 	Gaps    int     `json:"gaps"` // crash points covered (== ops+1)
 	Classes []Class `json:"classes"`
 }
 
-// Compute partitions tr's crash points by running the static verifier's
-// abstract interpretation and capturing one certificate per class. The
-// result is deterministic: same trace and options, byte-identical
-// partition. A structurally invalid trace (verify's V0) is rejected —
-// its class enumeration cannot be trusted. Other violations do NOT fail
-// the partition: a buggy protocol still has a well-defined crash-point
-// space, and campaigns exist to observe exactly those failures.
+// Compute partitions tr's crash points, opening a class at every op
+// verify.OpensClass names. The result is deterministic. A structurally
+// invalid trace is rejected — its class enumeration cannot be trusted.
 func Compute(tr trace.Source, opts Options) (*Partition, error) {
-	var states []verify.ClassState
-	res := verify.Verify(tr, verify.Options{
-		Arenas: opts.Arenas,
-		IsLog:  opts.IsLog,
-		Model:  opts.Model,
-		OnClass: func(st verify.ClassState) {
-			states = append(states, st)
-		},
-	})
-	for _, v := range res.Violations {
-		if v.Inv == "V0" {
-			return nil, fmt.Errorf("prune: %s", v.Message)
-		}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("prune: invalid trace: %w", err)
 	}
-	if len(states) != res.Classes {
-		return nil, fmt.Errorf("prune: %d certificates for %d classes", len(states), res.Classes)
-	}
-	p := &Partition{Schema: Schema, Ops: tr.Len(), Gaps: tr.Len() + 1}
-	for j, st := range states {
-		lo := st.OpIndex + 1
-		hi := tr.Len() + 1
-		if j+1 < len(states) {
-			hi = states[j+1].OpIndex + 1
+	n := tr.Len()
+	p := &Partition{Ops: n, Gaps: n + 1}
+	open := func(i int, boundary string) {
+		if k := len(p.Classes); k > 0 {
+			p.Classes[k-1].Gaps[1] = i + 1
 		}
 		p.Classes = append(p.Classes, Class{
-			Index:          j,
-			OpIndex:        st.OpIndex,
-			Boundary:       st.Boundary,
-			Gaps:           [2]int{lo, hi},
-			Representative: lo,
-			Cert:           st,
+			Index:          len(p.Classes),
+			OpIndex:        i,
+			Boundary:       boundary,
+			Gaps:           [2]int{i + 1, n + 1},
+			Representative: i + 1,
 		})
+	}
+	open(-1, "start")
+	var op trace.Op
+	for i := 0; i < n; i++ {
+		tr.Op(i, &op)
+		if verify.OpensClass(op.Kind) {
+			open(i, op.Kind.String())
+		}
 	}
 	return p, nil
 }
 
-// Check verifies a partition against its trace: the schema tag, the gap
-// tiling (classes cover [0, ops+1) contiguously with in-range
-// representatives), and — by recomputing the abstract interpretation —
-// every certificate. A partition that passes Check is exactly what
-// Compute would produce for (tr, opts); a consumer need not trust the
-// file it decoded.
+// Check verifies a partition against its trace: the gap tiling (classes
+// cover [0, ops+1) contiguously with in-range representatives) and, by
+// recomputation, every class boundary. A partition that passes Check is
+// exactly what Compute would produce for tr, up to the choice of
+// representatives.
 func Check(tr trace.Source, p *Partition, opts Options) error {
-	if p.Schema != Schema {
-		return fmt.Errorf("prune: schema %q, want %q", p.Schema, Schema)
-	}
 	if p.Ops != tr.Len() || p.Gaps != tr.Len()+1 {
 		return fmt.Errorf("prune: partition for %d ops / %d gaps, trace has %d ops",
 			p.Ops, p.Gaps, tr.Len())
@@ -188,8 +140,8 @@ func Check(tr trace.Source, p *Partition, opts Options) error {
 	for i := range p.Classes {
 		got, ref := p.Classes[i], want.Classes[i]
 		got.Representative = ref.Representative // any in-range choice is valid
-		if !reflect.DeepEqual(got, ref) {
-			return fmt.Errorf("prune: class %d certificate does not match the trace: got %+v, want %+v",
+		if got != ref {
+			return fmt.Errorf("prune: class %d does not match the trace: got %+v, want %+v",
 				i, p.Classes[i], ref)
 		}
 	}
@@ -205,24 +157,4 @@ func (p *Partition) Hash() uint64 {
 		panic("prune: unencodable partition: " + err.Error())
 	}
 	return h.Sum64()
-}
-
-// Encode writes the partition as indented, schema-tagged JSON.
-func (p *Partition) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// Decode reads a partition written by Encode. The caller should Check it
-// against the trace before relying on it.
-func Decode(r io.Reader) (*Partition, error) {
-	var p Partition
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("prune: decode: %w", err)
-	}
-	if p.Schema != Schema {
-		return nil, fmt.Errorf("prune: schema %q, want %q", p.Schema, Schema)
-	}
-	return &p, nil
 }

@@ -1,19 +1,13 @@
 package prune_test
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"encnvm/internal/check/prune"
 	"encnvm/internal/mem"
 	"encnvm/internal/trace"
 )
-
-const logEnd = mem.Addr(0x10000)
-
-func testIsLog(a mem.Addr) bool { return a < logEnd }
 
 const (
 	lineA = mem.Addr(0x20000)
@@ -32,11 +26,9 @@ func txe() trace.Op            { return trace.Op{Kind: trace.TxEnd} }
 
 func mkTrace(ops ...trace.Op) *trace.Trace { return &trace.Trace{Ops: ops} }
 
-func popts() prune.Options { return prune.Options{IsLog: testIsLog} }
-
 func mustCompute(t *testing.T, tr *trace.Trace) *prune.Partition {
 	t.Helper()
-	p, err := prune.Compute(tr, popts())
+	p, err := prune.Compute(tr, prune.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +43,10 @@ func TestPartitionTilesGaps(t *testing.T) {
 		wr(lineA),                 // opens
 		rd(lineB), comp(), comp(), // merged into wr's class
 		clwb(lineA), ccwb(lineA), fence(), // each opens
+		txb(), txe(), // merged into the fence's class
 	)
 	p := mustCompute(t, tr)
-	if p.Schema != prune.Schema || p.Ops != tr.Len() || p.Gaps != tr.Len()+1 {
+	if p.Ops != tr.Len() || p.Gaps != tr.Len()+1 {
 		t.Fatalf("partition header = %+v", p)
 	}
 	next := 0
@@ -83,6 +76,9 @@ func TestPartitionTilesGaps(t *testing.T) {
 	if got := p.Classes[1].Size(); got != 4 {
 		t.Errorf("write class covers %d gaps, want 4 (write + read + 2 computes)", got)
 	}
+	if got := p.Classes[4].Size(); got != 3 {
+		t.Errorf("sfence class covers %d gaps, want 3 (sfence + 2 tx markers)", got)
+	}
 }
 
 func TestPartitionDeterministic(t *testing.T) {
@@ -96,89 +92,49 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 }
 
-// Certificates must change when the abstract state does, even between
-// classes with the same boundary kind — otherwise Check could not
-// detect a partition spliced together from the wrong trace.
-func TestCertificatesDiffer(t *testing.T) {
-	tr := mkTrace(wr(lineA), wr(lineB))
-	p := mustCompute(t, tr)
-	if len(p.Classes) != 3 {
-		t.Fatalf("classes = %d, want 3", len(p.Classes))
-	}
-	if reflect.DeepEqual(p.Classes[1].Cert.Lines, p.Classes[2].Cert.Lines) {
-		t.Fatalf("second write left the certificate unchanged: %+v", p.Classes[2].Cert)
-	}
-}
-
 func TestCheckAcceptsAndRejects(t *testing.T) {
 	tr := mkTrace(wr(lineA), clwb(lineA), ccwb(lineA), fence())
 	p := mustCompute(t, tr)
-	if err := prune.Check(tr, p, popts()); err != nil {
+	if err := prune.Check(tr, p, prune.Options{}); err != nil {
 		t.Fatalf("valid partition rejected: %v", err)
 	}
 
 	tamper := func(mut func(q *prune.Partition)) error {
-		var buf bytes.Buffer
-		if err := p.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		q, err := prune.Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := mustCompute(t, tr)
 		mut(q)
-		return prune.Check(tr, q, popts())
+		return prune.Check(tr, q, prune.Options{})
 	}
-	if err := tamper(func(q *prune.Partition) { q.Schema = "bogus" }); err == nil {
-		t.Error("wrong schema accepted")
+	if err := tamper(func(q *prune.Partition) { q.Ops++ }); err == nil {
+		t.Error("wrong op count accepted")
 	}
 	if err := tamper(func(q *prune.Partition) { q.Classes[1].Gaps[1]++ }); err == nil {
 		t.Error("overlapping gap tiling accepted")
 	}
-	if err := tamper(func(q *prune.Partition) { q.Classes[2].Cert.Epoch++ }); err == nil {
-		t.Error("tampered certificate accepted")
+	if err := tamper(func(q *prune.Partition) { q.Classes[2].Boundary = "sfence" }); err == nil {
+		t.Error("wrong class boundary accepted")
 	}
 	if err := tamper(func(q *prune.Partition) {
 		q.Classes[0].Representative = q.Classes[0].Gaps[1]
 	}); err == nil {
 		t.Error("out-of-range representative accepted")
 	}
+	// A partition of a different trace with the same length is rejected.
+	other := mkTrace(wr(lineA), rd(lineA), ccwb(lineA), fence())
+	if err := prune.Check(other, p, prune.Options{}); err == nil {
+		t.Error("partition of another trace accepted")
+	}
 	// A different in-range representative is a valid choice, not tampering.
 	wide := mkTrace(wr(lineA), rd(lineB), rd(lineC))
 	pw := mustCompute(t, wide)
 	pw.Classes[1].Representative = pw.Classes[1].Gaps[1] - 1
-	if err := prune.Check(wide, pw, popts()); err != nil {
+	if err := prune.Check(wide, pw, prune.Options{}); err != nil {
 		t.Errorf("alternative representative rejected: %v", err)
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := mkTrace(wr(lineA), wr(lineB), clwb(lineA), fence())
-	p := mustCompute(t, tr)
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"schema": "encnvm/crash-classes/v1"`, `"gaps"`, `"rep"`, `"cert"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Errorf("encoding missing %s", key)
-		}
-	}
-	q, err := prune.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, q) {
-		t.Fatalf("round trip changed the partition")
-	}
-	if err := prune.Check(tr, q, popts()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A structurally broken trace (V0) has no trustworthy class structure.
+// A structurally broken trace has no trustworthy class structure.
 func TestComputeRejectsInvalidTrace(t *testing.T) {
-	if _, err := prune.Compute(mkTrace(txb(), txb(), txe(), txe()), popts()); err == nil {
-		t.Fatal("V0 trace partitioned")
+	if _, err := prune.Compute(mkTrace(txb(), txb(), txe(), txe()), prune.Options{}); err == nil {
+		t.Fatal("invalid trace partitioned")
 	}
 }

@@ -112,9 +112,9 @@ func BuildImage(tr trace.Source, sched *Schedule) *mem.Space {
 				})
 			}
 		case trace.CCWB:
-			g := ctrGroup(op.Addr)
+			g := CounterGroup(op.Addr)
 			for _, a := range cacheOrder {
-				if ctrGroup(a) != g {
+				if CounterGroup(a) != g {
 					continue
 				}
 				c := cache[a]

@@ -8,7 +8,7 @@ import (
 )
 
 func vmodel(m verify.Model) verify.Options {
-	return verify.Options{IsLog: testIsLog, Model: &m}
+	return verify.Options{Arenas: testArenas, Model: &m}
 }
 
 // The explicit default model must give identical verdicts to a nil

@@ -122,11 +122,11 @@ func (v *verifier) switchSchedule(tr trace.Source, i int, dep *lineState) *Sched
 	tr.Op(i, &cur)
 	target := cur.Addr.LineAddr()
 	inv := "V2"
-	if !dep.dataSafe {
+	if !dep.DataSafe {
 		inv = "V1"
 	}
 	isCommit := v.sealSeen && target == v.sealLine
-	isSeal := v.inTx && v.isLog != nil && v.isLog(target) && !isCommit
+	isSeal := v.inTx && v.IsLog(target) && !isCommit
 
 	if isSeal {
 		if s := v.sealCorruptionSchedule(tr, i, dep, inv, target); s != nil {
@@ -151,11 +151,11 @@ func (v *verifier) switchSchedule(tr trace.Source, i int, dep *lineState) *Sched
 		if a == target {
 			continue
 		}
-		if a == dep.addr {
-			if !dep.dataSafe {
+		if a == dep.Addr {
+			if !dep.DataSafe {
 				if dep.ctrWBAt >= 0 && !dep.ca {
 					land = append(land, LandEntry{Addr: uint64(a), Ctr: true})
-				} else if dep.dataWBAt < 0 && !dep.ctrSafe {
+				} else if dep.DataWBAt < 0 && !dep.ctrSafe {
 					// Nothing in flight at all: evict the dep so its data
 					// lands under the bumped-but-volatile counter.
 					land = append(land, LandEntry{Addr: uint64(a), Evict: true})
@@ -165,7 +165,7 @@ func (v *verifier) switchSchedule(tr trace.Source, i int, dep *lineState) *Sched
 			// any — NVM already holds new data under the old counter.
 			continue
 		}
-		if ls.dataWBAt >= 0 {
+		if ls.DataWBAt >= 0 {
 			land = append(land, LandEntry{Addr: uint64(a)})
 		}
 		if ls.ctrWBAt >= 0 && !ls.ca {
@@ -173,9 +173,9 @@ func (v *verifier) switchSchedule(tr trace.Source, i int, dep *lineState) *Sched
 		}
 	}
 	return &Schedule{
-		Core: v.opts.Core, CrashOp: i, Kind: KindConsistency,
-		Inv: inv, Victim: uint64(dep.addr), Land: land,
-		Message: fmt.Sprintf("crash at the counter-atomic switch (op %d): the switch and all other writebacks land, line %#x's %s does not", i, dep.addr, unsafeHalf(dep)),
+		CrashOp: i, Kind: KindConsistency,
+		Inv: inv, Victim: uint64(dep.Addr), Land: land,
+		Message: fmt.Sprintf("crash at the counter-atomic switch (op %d): the switch and all other writebacks land, line %#x's %s does not", i, dep.Addr, unsafeHalf(dep)),
 	}
 }
 
@@ -212,13 +212,13 @@ func (v *verifier) sealCorruptionSchedule(tr trace.Source, i int, dep *lineState
 	var op trace.Op
 	for j := i + 1; j < end; j++ {
 		tr.Op(j, &op)
-		if op.Kind != trace.Write || op.CounterAtomic || v.isLog(op.Addr) {
+		if op.Kind != trace.Write || op.CounterAtomic || v.IsLog(op.Addr) {
 			continue
 		}
 		if m < 0 {
 			m = j
 		}
-		if ls, ok := v.lines[op.Addr.LineAddr()]; ok && ls.storedAt >= 0 && !ls.storeInTx {
+		if ls, ok := v.lines[op.Addr.LineAddr()]; ok && ls.StoredAt >= 0 && !ls.StoreInTx {
 			m = j
 			break
 		}
@@ -229,22 +229,22 @@ func (v *verifier) sealCorruptionSchedule(tr trace.Source, i int, dep *lineState
 		return nil
 	}
 	var drop []LandEntry
-	if !dep.dataSafe && dep.dataWBAt >= 0 {
-		drop = append(drop, LandEntry{Addr: uint64(dep.addr), Op: dep.dataWBAt})
+	if !dep.DataSafe && dep.DataWBAt >= 0 {
+		drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Op: dep.DataWBAt})
 	}
 	if !dep.ctrSafe && dep.ctrWBAt >= 0 && !dep.ca {
-		drop = append(drop, LandEntry{Addr: uint64(dep.addr), Ctr: true, Op: dep.ctrWBAt})
+		drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Ctr: true, Op: dep.ctrWBAt})
 	}
 	tr.Op(m, &op)
 	return &Schedule{
-		Core: v.opts.Core, CrashOp: m, Kind: KindConsistency,
-		Inv: inv, Victim: uint64(dep.addr),
+		CrashOp: m, Kind: KindConsistency,
+		Inv: inv, Victim: uint64(dep.Addr),
 		Land: []LandEntry{
 			{Addr: uint64(op.Addr.LineAddr()), Evict: true},
 			{Addr: uint64(target), Evict: true},
 		},
-		Drop: drop,
-		Message: fmt.Sprintf("crash at the in-place mutation (op %d): the mutated line and the seal land, line %#x's %s does not — recovery cannot restore the heap", m, dep.addr, unsafeHalf(dep)),
+		Drop:    drop,
+		Message: fmt.Sprintf("crash at the in-place mutation (op %d): the mutated line and the seal land, line %#x's %s does not — recovery cannot restore the heap", m, dep.Addr, unsafeHalf(dep)),
 	}
 }
 
@@ -261,36 +261,36 @@ func (v *verifier) commitLossSchedule(tr trace.Source, i int, dep *lineState, in
 	}
 	var drop []LandEntry
 	var op trace.Op
-	if !dep.dataSafe {
-		if dep.dataWBAt >= 0 {
-			drop = append(drop, LandEntry{Addr: uint64(dep.addr), Op: dep.dataWBAt})
+	if !dep.DataSafe {
+		if dep.DataWBAt >= 0 {
+			drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Op: dep.DataWBAt})
 		}
 		for j := i + 1; j < end; j++ {
 			tr.Op(j, &op)
-			if op.Kind == trace.Clwb && op.Addr.LineAddr() == dep.addr {
-				drop = append(drop, LandEntry{Addr: uint64(dep.addr), Op: j})
+			if op.Kind == trace.Clwb && op.Addr.LineAddr() == dep.Addr {
+				drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Op: j})
 			}
 		}
 	} else if !dep.ctrSafe {
 		if dep.ctrWBAt >= 0 && !dep.ca {
-			drop = append(drop, LandEntry{Addr: uint64(dep.addr), Ctr: true, Op: dep.ctrWBAt})
+			drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Ctr: true, Op: dep.ctrWBAt})
 		}
 		for j := i + 1; j < end; j++ {
 			tr.Op(j, &op)
-			if op.Kind == trace.CCWB && ctrGroup(op.Addr) == ctrGroup(dep.addr) {
-				drop = append(drop, LandEntry{Addr: uint64(dep.addr), Ctr: true, Op: j})
+			if op.Kind == trace.CCWB && CounterGroup(op.Addr) == CounterGroup(dep.Addr) {
+				drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Ctr: true, Op: j})
 			}
 		}
 	}
 	return &Schedule{
-		Core: v.opts.Core, CrashOp: end, Kind: KindConsistency,
-		Inv: inv, Victim: uint64(dep.addr), Drop: drop,
-		Message: fmt.Sprintf("crash at TxEnd (op %d) with line %#x's %s writeback suppressed: the commit is durable but the mutation is not", end, dep.addr, unsafeHalf(dep)),
+		CrashOp: end, Kind: KindConsistency,
+		Inv: inv, Victim: uint64(dep.Addr), Drop: drop,
+		Message: fmt.Sprintf("crash at TxEnd (op %d) with line %#x's %s writeback suppressed: the commit is durable but the mutation is not", end, dep.Addr, unsafeHalf(dep)),
 	}
 }
 
 func unsafeHalf(dep *lineState) string {
-	if !dep.dataSafe {
+	if !dep.DataSafe {
 		return "data"
 	}
 	return "counter"
@@ -302,9 +302,9 @@ func unsafeHalf(dep *lineState) string {
 // to restore it.
 func (v *verifier) mutateSchedule(i int, op trace.Op) *Schedule {
 	return &Schedule{
-		Core: v.opts.Core, CrashOp: i, Kind: KindConsistency,
+		CrashOp: i, Kind: KindConsistency,
 		Inv: "V3", Victim: uint64(op.Addr.LineAddr()),
-		Land: []LandEntry{{Addr: uint64(op.Addr.LineAddr()), Evict: true}},
+		Land:    []LandEntry{{Addr: uint64(op.Addr.LineAddr()), Evict: true}},
 		Message: fmt.Sprintf("crash at the unsealed mutation (op %d): the garbled line lands with no recoverable backup", i),
 	}
 }
@@ -314,8 +314,8 @@ func (v *verifier) mutateSchedule(i int, op trace.Op) *Schedule {
 // writeback lost — the committed effect vanishes.
 func (v *verifier) durabilitySchedule(i int, dep *lineState) *Schedule {
 	return &Schedule{
-		Core: v.opts.Core, CrashOp: i, Kind: KindDurability,
-		Inv: "V4", Victim: uint64(dep.addr),
-		Message: fmt.Sprintf("crash after op %d with all in-flight writebacks lost: line %#x's committed effect is gone", i, dep.addr),
+		CrashOp: i, Kind: KindDurability,
+		Inv: "V4", Victim: uint64(dep.Addr),
+		Message: fmt.Sprintf("crash after op %d with all in-flight writebacks lost: line %#x's committed effect is gone", i, dep.Addr),
 	}
 }

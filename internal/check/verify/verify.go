@@ -33,7 +33,7 @@
 //   - Crash points between ops that do not change the reachable persisted
 //     image set (reads, compute, transaction markers) collapse into one
 //     representative class; only Write/Clwb/CCWB/Sfence ops open a new
-//     class.
+//     class (OpensClass).
 //   - Within a class the in-flight subsets are never enumerated: each
 //     invariant is a two-literal implication ("switch persisted" and
 //     "dependency not persisted"), so a violating subset exists iff the
@@ -45,6 +45,14 @@
 // Because eviction makes a store possibly-persistent immediately, every
 // invariant is checked at the op that opens the earliest class where the
 // antecedent can hold; all later classes in the same window are implied.
+//
+// # Shared state
+//
+// The persist-set facts live in State. Verify reads the state each op
+// finds, runs that op's invariant checks, then calls State.Apply. The
+// trace linter (internal/check) drives the same State, so its rules
+// R1–R5 and the invariants here observe one model of a line's
+// persistence.
 //
 // # Invariants
 //
@@ -85,27 +93,13 @@ import (
 type Options struct {
 	// Arenas locates per-core log regions so the verifier can tell log
 	// writes (prepare/commit stages) from in-place mutations. Leaving it
-	// empty and IsLog nil disables V3, exactly like the dynamic linter's
-	// R5.
+	// empty disables V3, exactly like the dynamic linter's R5.
 	Arenas []persist.Arena
-	// IsLog overrides the log classifier derived from Arenas.
-	IsLog func(addr mem.Addr) bool
-	// Core is recorded in emitted schedules (default 0).
-	Core int
 	// Model selects the engine-dependent persistence semantics. Nil
 	// verifies under the default model — SCA-style separate counters
 	// where only annotated stores persist atomically and ccwb is
 	// fence-ordered — which is the machine the trace IR was recorded on.
 	Model *Model
-	// OnClass, when non-nil, receives one ClassState per crash-point
-	// equivalence class, in class order: the initial class before any op
-	// (OpIndex -1), then one per class-opening op (Write/Clwb/CCWB/
-	// Sfence), snapshotted AFTER the op's persist-set effects applied —
-	// the abstract state every crash point in the class observes. This
-	// is how the class enumeration that drives V1–V4 is exported to the
-	// pruning analysis (internal/check/prune) instead of being discarded
-	// when verification ends.
-	OnClass func(ClassState)
 }
 
 // Model abstracts over the persistence semantics that differ between
@@ -173,98 +167,6 @@ func (m Model) atomic(annotated bool) bool {
 	return annotated
 }
 
-// Fact is the abstract persistence state of one dimension (data or
-// counter) of one line, as the invariants observe it.
-type Fact string
-
-// The three persist-set facts. Volatile: NVM definitely does not hold
-// the latest value through any tracked writeback (an eviction may still
-// land it at any time — that is what makes a store possibly-persisted).
-// InFlight: a writeback was issued and is independently landed-or-lost
-// at a crash. Definite: a retired sfence made the value durable.
-const (
-	FactVolatile Fact = "volatile"
-	FactInFlight Fact = "in-flight"
-	FactDefinite Fact = "definite"
-)
-
-// LineFact is the per-line certificate row: everything the invariants
-// can observe about one line inside one equivalence class.
-type LineFact struct {
-	Addr     uint64 `json:"addr"`
-	StoredAt int    `json:"storedAt"`         // op index of the latest store
-	Atomic   bool   `json:"atomic,omitempty"` // engine-effective counter atomicity
-	InTx     bool   `json:"inTx,omitempty"`   // latest store inside the open tx
-	Data     Fact   `json:"data"`
-	Counter  Fact   `json:"counter"`
-}
-
-// ClassState is the abstract machine state that justifies merging every
-// crash point of one equivalence class: the per-line persist-set facts
-// (sorted by address), the epoch ordinal, and the transaction/seal
-// context. Crash points between the class-opening op and the next
-// class-opening op observe exactly this state, which is the certificate
-// internal/check/prune serializes and re-checks.
-type ClassState struct {
-	Index    int        `json:"class"`
-	OpIndex  int        `json:"op"`                 // class-opening op (-1: before any op)
-	Boundary string     `json:"boundary"`           // opening op kind ("start" for the initial class)
-	Epoch    int        `json:"epoch"`              // sfence-delimited persist window ordinal
-	InTx     bool       `json:"inTx,omitempty"`     // a transaction is open
-	SealOpen bool       `json:"sealOpen,omitempty"` // an unreleased log seal exists
-	SealAddr uint64     `json:"sealAddr,omitempty"` // its line (SealOpen only)
-	SealAt   int        `json:"sealAt,omitempty"`   // its op index (SealOpen only)
-	Lines    []LineFact `json:"lines,omitempty"`
-}
-
-// fact folds a lineState dimension into the exported three-point state.
-func fact(safe bool, wbAt int) Fact {
-	switch {
-	case safe:
-		return FactDefinite
-	case wbAt >= 0:
-		return FactInFlight
-	default:
-		return FactVolatile
-	}
-}
-
-// emitClass snapshots the current abstract state for the class opened by
-// op i (or the initial class, i == -1) into the OnClass hook.
-func (v *verifier) emitClass(i int, boundary string) {
-	if v.opts.OnClass == nil {
-		return
-	}
-	st := ClassState{
-		Index:    v.classes - 1,
-		OpIndex:  i,
-		Boundary: boundary,
-		Epoch:    v.epoch,
-		InTx:     v.inTx,
-		SealOpen: v.sealSeen,
-	}
-	if v.sealSeen {
-		st.SealAddr = uint64(v.sealLine)
-		st.SealAt = v.sealAt
-	}
-	for _, a := range v.lineOrder {
-		ls := v.lines[a]
-		if ls.storedAt < 0 {
-			continue
-		}
-		st.Lines = append(st.Lines, LineFact{
-			Addr:     uint64(a),
-			StoredAt: ls.storedAt,
-			Atomic:   ls.ca,
-			InTx:     ls.storeInTx,
-			Data:     fact(ls.dataSafe, ls.dataWBAt),
-			Counter:  fact(ls.ctrSafe, ls.ctrWBAt),
-		})
-	}
-	sort.Slice(st.Lines, func(x, y int) bool { return st.Lines[x].Addr < st.Lines[y].Addr })
-	v.opts.OnClass(st)
-}
-
 // Invariant documents one verifier invariant for tool catalogs.
 type Invariant struct {
 	ID  string
@@ -311,40 +213,9 @@ type Result struct {
 // Clean reports whether every crash class satisfied every invariant.
 func (r Result) Clean() bool { return len(r.Violations) == 0 }
 
-// lineState is the per-line persist-set summary the invariants observe.
-type lineState struct {
-	addr      mem.Addr
-	storedAt  int  // op index of the latest store (-1: never stored)
-	ca        bool // latest store was CounterAtomic
-	storeInTx bool // latest store happened inside the open transaction
-
-	dataWBAt int  // in-flight clwb for the latest content (-1: none)
-	dataSafe bool // NVM definitely holds the latest content
-
-	ctrWBAt int  // in-flight counter writeback covering the latest bump (-1: none)
-	ctrSafe bool // NVM counter definitely matches the latest content
-
-	treeWBAt int  // in-flight tree-path writeback for the latest bump (-1: none)
-	treeSafe bool // NVM ancestor tree nodes definitely match the latest content
-}
-
-// safe reports the line is definitely readable-as-latest after any crash.
-func (l *lineState) safe() bool { return l.dataSafe && l.ctrSafe }
-
 // verifier threads the abstract state through one core's trace.
 type verifier struct {
-	opts  Options
-	model Model
-	isLog func(mem.Addr) bool
-
-	lines     map[mem.Addr]*lineState
-	lineOrder []mem.Addr // first-touch order, for deterministic scans
-	groups    map[mem.Addr][]mem.Addr
-
-	inTx     bool
-	sealSeen bool     // a CounterAtomic log store occurred in the open tx
-	sealLine mem.Addr // its line
-	sealAt   int
+	*State
 
 	epoch   int
 	classes int
@@ -363,34 +234,9 @@ func Verify(tr trace.Source, opts Options) Result {
 			Inv: "V0", Message: "invalid trace: " + err.Error(),
 		}}}
 	}
-	v := &verifier{
-		opts:   opts,
-		lines:  make(map[mem.Addr]*lineState),
-		groups: make(map[mem.Addr][]mem.Addr),
-	}
-	if opts.Model != nil {
-		// The zero Model IS the default semantics, so copying an explicit
-		// &Model{} here is identical to leaving v.model zero — nil and
-		// zero Options.Model cannot diverge.
-		v.model = *opts.Model
-	}
-	switch {
-	case opts.IsLog != nil:
-		v.isLog = opts.IsLog
-	case len(opts.Arenas) > 0:
-		arenas := opts.Arenas
-		v.isLog = func(a mem.Addr) bool {
-			for _, ar := range arenas {
-				if a >= ar.LogBase() && a < ar.HeapBase() {
-					return true
-				}
-			}
-			return false
-		}
-	}
+	v := &verifier{State: NewState(opts)}
 	v.res.Ops = tr.Len()
 	v.classes = 1 // the class before any op
-	v.emitClass(-1, "start")
 	var op trace.Op
 	for i, n := 0, tr.Len(); i < n; i++ {
 		tr.Op(i, &op)
@@ -412,147 +258,27 @@ func Verify(tr trace.Source, opts Options) Result {
 	return v.res
 }
 
-func (v *verifier) line(a mem.Addr) *lineState {
-	a = a.LineAddr()
-	ls, ok := v.lines[a]
-	if !ok {
-		ls = &lineState{addr: a, storedAt: -1, dataWBAt: -1, ctrWBAt: -1, treeWBAt: -1}
-		v.lines[a] = ls
-		v.lineOrder = append(v.lineOrder, a)
-		g := ctrGroup(a)
-		v.groups[g] = append(v.groups[g], a)
-	}
-	return ls
-}
-
-// ctrGroup returns the counter-line group base covering addr, matching
-// the persist runtime's coalescing (mem.CountersPerLine data lines per
-// counter line).
-func ctrGroup(addr mem.Addr) mem.Addr {
-	return addr.LineAddr() &^ (mem.CountersPerLine*mem.LineBytes - 1)
-}
-
-// step advances the machine by one op, running the invariant checks that
-// the op's crash class makes decidable. Checks observe the state BEFORE
-// the op is applied — the class opened by op i contains the op's own
-// effect as possibly-persisted, and the pre-state is what it publishes.
+// step runs the invariant checks that op i's crash class makes
+// decidable, then applies the op. Checks observe the state BEFORE the op
+// — the class opened by op i contains the op's own effect as
+// possibly-persisted, and the pre-state is what it publishes.
 func (v *verifier) step(tr trace.Source, i int, op trace.Op) {
-	before := v.classes
+	if OpensClass(op.Kind) {
+		v.classes++
+	}
 	switch op.Kind {
 	case trace.Write:
-		v.classes++
 		if op.CounterAtomic {
 			v.checkSwitch(tr, i, op)
-		} else if v.inTx && v.isLog != nil && !v.isLog(op.Addr) {
+		} else if v.inTx && v.KnowsLog() && !v.IsLog(op.Addr) {
 			v.checkMutate(tr, i, op)
 		}
-		v.applyWrite(i, op)
-	case trace.Clwb:
-		v.classes++
-		ls := v.line(op.Addr)
-		if ls.storedAt >= 0 && !ls.dataSafe && ls.dataWBAt < 0 {
-			ls.dataWBAt = i
-			if ls.ca {
-				// A CounterAtomic writeback carries its counter — and, on
-				// a tree-protected engine whose metadata travels with the
-				// counter write, the ancestor tree path too.
-				ls.ctrWBAt = i
-				if v.model.TreeProtected && v.model.TreePathWithCounter {
-					ls.treeWBAt = i
-				}
-			}
-		}
-	case trace.CCWB:
-		v.classes++
-		if v.model.CCWBUnordered {
-			// The writeback emits traffic the fence never waits for: no
-			// counter becomes definitely persistent through it.
-			break
-		}
-		g := ctrGroup(op.Addr)
-		for _, a := range v.groups[g] {
-			ls := v.lines[a]
-			if ls.storedAt >= 0 && !ls.ca && !ls.ctrSafe && ls.ctrWBAt < 0 {
-				ls.ctrWBAt = i
-				if v.model.TreeProtected && v.model.TreePathWithCounter {
-					ls.treeWBAt = i
-				}
-			}
-		}
 	case trace.Sfence:
-		v.classes++
 		v.epoch++
-		for _, a := range v.lineOrder {
-			ls := v.lines[a]
-			if ls.dataWBAt >= 0 {
-				ls.dataSafe = true
-				ls.dataWBAt = -1
-			}
-			if ls.ctrWBAt >= 0 {
-				ls.ctrSafe = true
-				ls.ctrWBAt = -1
-			}
-			if ls.treeWBAt >= 0 {
-				if !v.model.TreePathUnordered {
-					ls.treeSafe = true
-				}
-				ls.treeWBAt = -1
-			}
-		}
-	case trace.TxBegin:
-		v.inTx = true
-		v.sealSeen = false
 	case trace.TxEnd:
 		v.checkTxEnd(tr, i)
-		v.inTx = false
-		v.sealSeen = false
-		for _, a := range v.lineOrder {
-			v.lines[a].storeInTx = false
-		}
 	}
-	if v.classes != before {
-		v.emitClass(i, op.Kind.String())
-	}
-}
-
-// applyWrite updates the persist-set facts for a store. The line's
-// atomicity flag is the ENGINE-effective one (a CounterFree engine makes
-// every counter exactly as safe as its data); seal detection keys on the
-// raw software annotation, which is the protocol structure regardless of
-// how the engine persists it.
-func (v *verifier) applyWrite(i int, op trace.Op) {
-	ls := v.line(op.Addr)
-	ls.storedAt = i
-	ls.ca = v.model.atomic(op.CounterAtomic)
-	ls.storeInTx = v.inTx
-	// For an atomic line the counter is exactly as safe as the data,
-	// tracked through the data writeback; for a plain store the counter
-	// bump sits in the volatile counter cache and persists independently.
-	ls.dataSafe = false
-	ls.dataWBAt = -1
-	ls.ctrSafe = false
-	ls.ctrWBAt = -1
-	ls.treeSafe = false
-	ls.treeWBAt = -1
-	if op.CounterAtomic && v.inTx && v.isLog != nil && v.isLog(op.Addr) {
-		if v.sealSeen && op.Addr.LineAddr() == v.sealLine {
-			// The commit record releases the seal.
-			v.sealSeen = false
-		} else {
-			v.sealSeen = true
-			v.sealLine = op.Addr.LineAddr()
-			v.sealAt = i
-		}
-	}
-}
-
-// sealDurable reports whether the open transaction's seal is definitely
-// persisted (valid flag readable after every crash).
-func (v *verifier) sealDurable() bool {
-	if !v.sealSeen {
-		return false
-	}
-	return v.lines[v.sealLine].safe()
+	v.Apply(i, op)
 }
 
 // checkSwitch verifies V1/V2/V5 at a CounterAtomic store: in the class
@@ -564,15 +290,15 @@ func (v *verifier) checkSwitch(tr trace.Source, i int, op trace.Op) {
 	target := op.Addr.LineAddr()
 	for _, a := range v.lineOrder {
 		ls := v.lines[a]
-		if a == target || ls.storedAt < 0 {
+		if a == target || ls.StoredAt < 0 {
 			continue
 		}
 		if !ls.safe() {
-			if !ls.dataSafe {
+			if !ls.DataSafe {
 				v.res.Violations = append(v.res.Violations, Violation{
 					Inv: "V1", OpIndex: i, Addr: a,
 					Message: fmt.Sprintf("counter-atomic switch of %#x while data of line %#x (stored at op %d) is not definitely persisted",
-						target, a, ls.storedAt),
+						target, a, ls.StoredAt),
 					Schedule: v.switchSchedule(tr, i, ls),
 				})
 				continue
@@ -580,7 +306,7 @@ func (v *verifier) checkSwitch(tr trace.Source, i int, op trace.Op) {
 			v.res.Violations = append(v.res.Violations, Violation{
 				Inv: "V2", OpIndex: i, Addr: a,
 				Message: fmt.Sprintf("counter-atomic switch of %#x while the counter of line %#x (stored at op %d) is not definitely persisted: the line decrypts to garbage in some crash class",
-					target, a, ls.storedAt),
+					target, a, ls.StoredAt),
 				Schedule: v.switchSchedule(tr, i, ls),
 			})
 			continue
@@ -593,7 +319,7 @@ func (v *verifier) checkSwitch(tr trace.Source, i int, op trace.Op) {
 			v.res.Violations = append(v.res.Violations, Violation{
 				Inv: "V5", OpIndex: i, Addr: a,
 				Message: fmt.Sprintf("counter-atomic switch of %#x while an ancestor tree node of line %#x (stored at op %d) is not definitely persisted: the line fails integrity verification in some crash class",
-					target, a, ls.storedAt),
+					target, a, ls.StoredAt),
 			})
 		}
 	}
@@ -624,13 +350,13 @@ func (v *verifier) checkMutate(tr trace.Source, i int, op trace.Op) {
 func (v *verifier) checkTxEnd(tr trace.Source, i int) {
 	for _, a := range v.lineOrder {
 		ls := v.lines[a]
-		if !ls.storeInTx || ls.storedAt < 0 || ls.safe() {
+		if !ls.StoreInTx || ls.StoredAt < 0 || ls.safe() {
 			continue
 		}
 		v.res.Violations = append(v.res.Violations, Violation{
 			Inv: "V4", OpIndex: i, Addr: a,
 			Message: fmt.Sprintf("line %#x (stored at op %d) not definitely persisted at TxEnd",
-				a, ls.storedAt),
+				a, ls.StoredAt),
 			Schedule: v.durabilitySchedule(i, ls),
 		})
 	}
@@ -642,13 +368,13 @@ func (v *verifier) finish(tr trace.Source) {
 	n := tr.Len()
 	for _, a := range v.lineOrder {
 		ls := v.lines[a]
-		if ls.storedAt < 0 || ls.safe() {
+		if ls.StoredAt < 0 || ls.safe() {
 			continue
 		}
 		v.res.Violations = append(v.res.Violations, Violation{
 			Inv: "V4", OpIndex: n - 1, Addr: a,
 			Message: fmt.Sprintf("line %#x (stored at op %d) not definitely persisted at end of trace",
-				a, ls.storedAt),
+				a, ls.StoredAt),
 			Schedule: v.durabilitySchedule(n-1, ls),
 		})
 	}

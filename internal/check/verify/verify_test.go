@@ -6,14 +6,13 @@ import (
 
 	"encnvm/internal/check/verify"
 	"encnvm/internal/mem"
+	"encnvm/internal/persist"
 	"encnvm/internal/trace"
 )
 
-// Hand-built traces: a two-region toy address space where everything
-// below logEnd counts as log, everything above as heap.
-const logEnd = mem.Addr(0x10000)
-
-func testIsLog(a mem.Addr) bool { return a < logEnd }
+// Hand-built traces run against core 0's arena, whose log region
+// [0, 0x20000) holds the log line and none of the heap lines.
+var testArenas = []persist.Arena{persist.ArenaFor(0, 64<<20)}
 
 const (
 	lineA = mem.Addr(0x20000) // heap
@@ -39,7 +38,7 @@ func txe() trace.Op            { return trace.Op{Kind: trace.TxEnd} }
 
 func mkTrace(ops ...trace.Op) *trace.Trace { return &trace.Trace{Ops: ops} }
 
-func vopts() verify.Options { return verify.Options{IsLog: testIsLog} }
+func vopts() verify.Options { return verify.Options{Arenas: testArenas} }
 
 // expectViolations asserts the result carries exactly the given
 // (invariant, op index) pairs, in order.

@@ -18,10 +18,12 @@
 //
 // # Layered pruning soundness
 //
-// The static partition proves abstract-state equality within a class,
-// not concrete-image equality: timing-level events (delayed write-queue
-// acceptance, counter evictions forced by reads) can change the device
-// image between two gaps the verifier cannot distinguish. The campaign
+// The static partition opens a class at every op that can change the
+// verifier's abstract persist state (Write, Clwb, CCWB, Sfence), so gaps
+// in one class are abstract-state equal. That is not concrete-image
+// equality: timing-level events (delayed write-queue acceptance, counter
+// evictions forced by reads) can change the device image between two
+// gaps the verifier cannot distinguish. The campaign
 // therefore refines every static class against the dynamic
 // persist-epoch timeline recorded by the probe run: the memory
 // controller reports an epoch at every instant the crash-visible state
@@ -43,7 +45,6 @@ import (
 	"sort"
 	"sync"
 
-	"encnvm/internal/check/enginecheck"
 	"encnvm/internal/check/prune"
 	"encnvm/internal/config"
 	"encnvm/internal/machine"
@@ -452,9 +453,8 @@ func gridSpace(spec *machine.Spec, traces []*trace.Trace, n int) (*crashSpace, e
 }
 
 // perOpSpace derives the per-op gap deadlines from a recording probe
-// run, computes the static partition and checks its certificates, and
-// tiles the gaps with cells: one per gap, or epoch-refined classes when
-// pruned.
+// run, computes and checks the static partition, and tiles the gaps
+// with cells: one per gap, or epoch-refined classes when pruned.
 func perOpSpace(spec *machine.Spec, traces []*trace.Trace, pruned bool) (*crashSpace, error) {
 	probe, epochs, err := probeRun(spec, traces)
 	if err != nil {
@@ -470,16 +470,12 @@ func perOpSpace(spec *machine.Spec, traces []*trace.Trace, pruned bool) (*crashS
 	// Static partition, self-checked: a campaign never trusts an
 	// unverified class structure, even one it just computed.
 	defer perf.Begin("campaign-classes").End()
-	popts := prune.Options{
-		Arenas: []persist.Arena{persist.ArenaFor(0, DefaultArena)},
-		Model:  enginecheck.ModelFor(probe.Meta, probe.Cfg),
-	}
-	part, err := prune.Compute(traces[0], popts)
+	part, err := prune.Compute(traces[0], prune.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := prune.Check(traces[0], part, popts); err != nil {
-		return nil, fmt.Errorf("crash: partition failed its own certificate check: %w", err)
+	if err := prune.Check(traces[0], part, prune.Options{}); err != nil {
+		return nil, fmt.Errorf("crash: partition failed its own check: %w", err)
 	}
 	mode := ModeExhaustive
 	if pruned {
@@ -499,7 +495,7 @@ func perOpSpace(spec *machine.Spec, traces []*trace.Trace, pruned bool) (*crashS
 // observed by the probe run. Gaps k and k+1 may merge only when no
 // epoch e satisfies t(k) < e <= t(k+1): the crash-visible state did not
 // mutate between the two deadlines, so the images are identical and the
-// static certificate's abstract equality extends to concrete equality.
+// static class's abstract equality extends to concrete equality.
 // Without pruning every gap is its own cell.
 func refineCells(part *prune.Partition, deadlines, epochs []sim.Time, pruned bool) []campaignCell {
 	var cells []campaignCell

@@ -43,79 +43,111 @@ func marshalRun(t *testing.T, run *CampaignRun) string {
 	return string(b1) + "\n" + string(b2)
 }
 
+// campaignGolden runs one per-op campaign and requires its
+// CampaignReport, wall_ms zeroed, to equal testdata/perop_<name>.json
+// byte for byte. Unlike the grid goldens, these reports carry the static
+// class count, the epoch-refined cell count and every violation's class.
+func campaignGolden(t *testing.T, spec *machine.Spec, w workloads.Workload, p workloads.Params,
+	opts CampaignOptions, name string) *CampaignRun {
+	t.Helper()
+	run, err := RunCampaign(spec, w, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp := run.Campaign
+	camp.WallMS = 0
+	got, err := json.MarshalIndent(camp, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "perop_"+name+".json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("workers=%d: campaign report differs from %s:\n%s", opts.Workers, path, got)
+	}
+	return run
+}
+
 // Pruning must be invisible in the verdicts: a pruned campaign's
 // per-gap results — verdicts attributed from cell representatives —
 // must equal the exhaustive campaign's, for passing and failing
-// designs alike.
+// designs alike. Both reports are pinned at 1 and 4 workers.
 func TestCampaignPrunedMatchesExhaustive(t *testing.T) {
 	cases := []struct {
 		design string
 		w      workloads.Workload
 		p      workloads.Params
+		golden string
 	}{
-		{"sca", &workloads.Queue{}, campaignParams},
-		{"sca", &workloads.ArraySwap{}, campaignParams},
+		{"sca", &workloads.Queue{}, campaignParams, "sca-queue"},
+		{"sca", &workloads.ArraySwap{}, campaignParams, "sca-arrayswap"},
 		{"ideal", &workloads.ArraySwap{}, func() workloads.Params {
 			p := campaignParams
 			p.Legacy = true // the §2.2 failure: verdict attribution must survive violations
 			return p
-		}()},
+		}(), "ideal-arrayswap-legacy"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.design+"/"+tc.w.Name(), func(t *testing.T) {
 			t.Parallel()
 			spec := campaignSpec(t, tc.design)
-			exRun, err := RunCampaign(spec, tc.w, tc.p, CampaignOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prRun, err := RunCampaign(spec, tc.w, tc.p, CampaignOptions{Pruned: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, pr := exRun.Report, prRun.Report
-			if len(ex.Results) != ex.CrashPoints || len(pr.Results) != pr.CrashPoints ||
-				ex.CrashPoints != pr.CrashPoints {
-				t.Fatalf("crash points: exhaustive %d/%d, pruned %d/%d",
-					len(ex.Results), ex.CrashPoints, len(pr.Results), pr.CrashPoints)
-			}
-			for i := range ex.Results {
-				if err := sameVerdict(ex.Results[i], pr.Results[i]); err != nil {
-					t.Fatalf("gap %d (crash at %v): pruned verdict diverges: %v",
-						i, ex.Results[i].CrashAt, err)
-				}
-				if ex.Results[i].CrashAt != pr.Results[i].CrashAt {
-					t.Fatalf("gap %d deadline %v vs %v", i, ex.Results[i].CrashAt, pr.Results[i].CrashAt)
-				}
-			}
-			if pr.Cells >= pr.CrashPoints {
-				t.Errorf("pruning merged nothing: %d cells for %d points", pr.Cells, pr.CrashPoints)
-			}
-			if ex.Pruned != 0 || ex.PrunedFraction != 0 {
-				t.Errorf("exhaustive report claims pruning: %+v", ex)
-			}
-			if pr.Pruned != pr.CrashPoints-pr.Cells {
-				t.Errorf("pruned count %d, want %d", pr.Pruned, pr.CrashPoints-pr.Cells)
+			for _, workers := range []int{1, 4} {
+				exRun := campaignGolden(t, spec, tc.w, tc.p,
+					CampaignOptions{Workers: workers}, tc.golden+"-exhaustive")
+				prRun := campaignGolden(t, spec, tc.w, tc.p,
+					CampaignOptions{Pruned: true, Workers: workers}, tc.golden+"-pruned")
+				checkPrunedMatchesExhaustive(t, exRun.Report, prRun.Report)
 			}
 		})
 	}
 }
 
+func checkPrunedMatchesExhaustive(t *testing.T, ex, pr Report) {
+	t.Helper()
+	if len(ex.Results) != ex.CrashPoints || len(pr.Results) != pr.CrashPoints ||
+		ex.CrashPoints != pr.CrashPoints {
+		t.Fatalf("crash points: exhaustive %d/%d, pruned %d/%d",
+			len(ex.Results), ex.CrashPoints, len(pr.Results), pr.CrashPoints)
+	}
+	for i := range ex.Results {
+		if err := sameVerdict(ex.Results[i], pr.Results[i]); err != nil {
+			t.Fatalf("gap %d (crash at %v): pruned verdict diverges: %v",
+				i, ex.Results[i].CrashAt, err)
+		}
+		if ex.Results[i].CrashAt != pr.Results[i].CrashAt {
+			t.Fatalf("gap %d deadline %v vs %v", i, ex.Results[i].CrashAt, pr.Results[i].CrashAt)
+		}
+	}
+	if pr.Cells >= pr.CrashPoints {
+		t.Errorf("pruning merged nothing: %d cells for %d points", pr.Cells, pr.CrashPoints)
+	}
+	if ex.Pruned != 0 || ex.PrunedFraction != 0 {
+		t.Errorf("exhaustive report claims pruning: %+v", ex)
+	}
+	if pr.Pruned != pr.CrashPoints-pr.Cells {
+		t.Errorf("pruned count %d, want %d", pr.Pruned, pr.CrashPoints-pr.Cells)
+	}
+}
+
 // -validate-classes: sampled members must agree with representatives.
+// The report is pinned at 1 and 4 workers.
 func TestCampaignValidateClasses(t *testing.T) {
 	t.Parallel()
-	run, err := RunCampaign(campaignSpec(t, "sca"), &workloads.Queue{}, campaignParams,
-		CampaignOptions{Pruned: true, ValidateMembers: 2, ValidateSeed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Report.Validated == 0 {
-		t.Fatal("validation simulated no members")
-	}
-	if got := run.Report.Simulated; got != run.Report.Cells+run.Report.Validated {
-		t.Errorf("simulated %d, want cells %d + validated %d",
-			got, run.Report.Cells, run.Report.Validated)
+	for _, workers := range []int{1, 4} {
+		run := campaignGolden(t, campaignSpec(t, "sca"), &workloads.Queue{}, campaignParams,
+			CampaignOptions{Pruned: true, ValidateMembers: 2, ValidateSeed: 3, Workers: workers},
+			"sca-queue-validated")
+		if run.Report.Validated == 0 {
+			t.Fatal("validation simulated no members")
+		}
+		if got := run.Report.Simulated; got != run.Report.Cells+run.Report.Validated {
+			t.Errorf("simulated %d, want cells %d + validated %d",
+				got, run.Report.Cells, run.Report.Validated)
+		}
 	}
 }
 

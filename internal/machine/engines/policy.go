@@ -18,7 +18,7 @@ type Policy struct {
 	CoLocatesCounters     bool
 	SeparateCounterWrites bool
 
-	FIFOAcceptance bool
+	FIFOAcceptance  bool
 	PairsEveryWrite bool
 
 	CounterWritebackEmits  bool
