@@ -23,7 +23,7 @@
 // engine's policy table — plus any machine-spec JSON files named as
 // arguments — against the contract rules C0–C4 and, by symbolically
 // executing the abstract programs under the engine's derived persistence
-// model, the verifier invariants V0–V4. V-rule findings carry concrete
+// model, the verifier invariants V0–V5. V-rule findings carry concrete
 // crash schedules; -cex-dir writes each as a self-contained JSON
 // counterexample whose abstract trace replays through the verify
 // machinery. -mutants runs the built-in self-test instead: every seeded
@@ -56,6 +56,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,10 +119,13 @@ func main() {
 	}
 	if *doVerify {
 		if *specPath != "" {
-			if err := checkSpec(*specPath); err != nil {
+			r, cfg, err := loadSpec(*specPath)
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 				os.Exit(2)
 			}
+			fmt.Printf("machine spec %s: engine %s, backend %s, %d core(s), design %v — OK\n",
+				*specPath, r.Engine, r.Backend, cfg.NumCores, cfg.Design)
 		}
 		os.Exit(runVerify(workloads.Params{
 			Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx,
@@ -201,7 +205,7 @@ func printCatalog() {
 	for _, a := range analyzers.AllInter() {
 		fmt.Printf("  %-14s %s\n", a.Name, a.Doc)
 	}
-	fmt.Println("\nReplay check passes (crashtest -check):")
+	fmt.Println("\nTrace lint rules (traceinfo -check):")
 	for _, d := range check.RuleDocs() {
 		fmt.Printf("  %s\n", d)
 	}
@@ -287,14 +291,17 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 			return 2
 		}
-		targets = append(targets, target{e, config.Default(e.Design()), "registry"})
+		targets = append(targets, target{e, config.Default(e.Design), "registry"})
 	}
+	// Each spec file is checked under its own sizing: stop-loss windows
+	// scale with the counter cache, not the Table-2 default.
 	for _, path := range specPaths {
-		eng, cfg, err := engineFromSpec(path)
+		spec, cfg, err := loadSpec(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 			return 2
 		}
+		eng, _ := engines.ByName(spec.Engine) // validated by loadSpec
 		targets = append(targets, target{eng, cfg, path})
 	}
 	exit := 0
@@ -305,7 +312,7 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			status = fmt.Sprintf("%d finding(s)", len(rep.Findings))
 		}
 		fmt.Printf("%-14s %2d abstract programs (%s): %s\n",
-			t.eng.Name(), rep.Programs, t.src, status)
+			t.eng.Name, rep.Programs, t.src, status)
 		if rep.Clean() {
 			continue
 		}
@@ -315,9 +322,9 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			if f.Violation == nil || cexDir == "" {
 				continue
 			}
-			file := enginecheck.NewFile(t.eng.Name(), f, enginecheck.ModelFor(t.eng, t.cfg))
+			file := enginecheck.NewFile(t.eng.Name, f, enginecheck.ModelFor(t.eng, t.cfg))
 			path := filepath.Join(cexDir,
-				fmt.Sprintf("%s-%s-%d.json", t.eng.Name(), f.Rule, i))
+				fmt.Sprintf("%s-%s-%d.json", t.eng.Name, f.Rule, i))
 			if err := file.WriteFile(path); err != nil {
 				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 				return 2
@@ -326,35 +333,6 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 		}
 	}
 	return exit
-}
-
-// engineFromSpec resolves a machine-spec file to the engine it names and
-// the configuration it implies, so custom machine definitions are
-// contract-checked under their own sizing (stop-loss windows scale with
-// the counter cache, not the Table-2 default).
-func engineFromSpec(path string) (engines.Engine, *config.Config, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	spec, err := machine.DecodeSpec(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
-	}
-	r, err := spec.Resolved()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
-	}
-	eng, err := engines.ByName(r.Engine)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return eng, cfg, nil
 }
 
 // runMutants runs the seeded bad-engine catalog through the checker:
@@ -376,7 +354,7 @@ func runMutants(cexDir string) int {
 		rep := enginecheck.Check(m.Engine, nil)
 		if rep.Clean() {
 			bad++
-			fmt.Printf("%-26s ESCAPED — %s\n", m.Engine.Name(), m.Why)
+			fmt.Printf("%-26s ESCAPED — %s\n", m.Engine.Name, m.Why)
 			continue
 		}
 		var rules []string
@@ -396,11 +374,11 @@ func runMutants(cexDir string) int {
 		if !matched {
 			bad++
 			fmt.Printf("%-26s caught by %v, want one of %v\n",
-				m.Engine.Name(), rules, m.Expect)
+				m.Engine.Name, rules, m.Expect)
 			continue
 		}
 		fmt.Printf("%-26s caught by %v (expected %v)\n",
-			m.Engine.Name(), rules, m.Expect)
+			m.Engine.Name, rules, m.Expect)
 		if cexDir == "" {
 			continue
 		}
@@ -408,10 +386,10 @@ func runMutants(cexDir string) int {
 			if f.Violation == nil {
 				continue
 			}
-			file := enginecheck.NewFile(m.Engine.Name(), f,
-				enginecheck.ModelFor(m.Engine, config.Default(m.Engine.Design())))
+			file := enginecheck.NewFile(m.Engine.Name, f,
+				enginecheck.ModelFor(m.Engine, config.Default(m.Engine.Design)))
 			path := filepath.Join(cexDir,
-				fmt.Sprintf("%s-%s.json", m.Engine.Name(), f.Rule))
+				fmt.Sprintf("%s-%s.json", m.Engine.Name, f.Rule))
 			if err := file.WriteFile(path); err != nil {
 				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 				return 2
@@ -428,29 +406,25 @@ func runMutants(cexDir string) int {
 	return 0
 }
 
-// checkSpec decodes, validates, and fully resolves a machine-spec file,
-// confirming it describes a buildable machine before verification runs.
-func checkSpec(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// loadSpec decodes, validates, and fully resolves a machine-spec file,
+// confirming it describes a buildable machine. It returns the resolved
+// spec and the configuration it implies.
+func loadSpec(path string) (*machine.Spec, *config.Config, error) {
+	spec, err := machine.LoadSpec(path, "", 0)
+	if _, open := err.(*fs.PathError); open {
+		return nil, nil, err // os.Open's error already names the file
 	}
-	defer f.Close()
-	spec, err := machine.DecodeSpec(f)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+	if err == nil {
+		spec, err = spec.Resolved()
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+	var cfg *config.Config
+	if err == nil {
+		cfg, err = spec.Config()
 	}
-	r, err := spec.Resolved()
 	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+		return nil, nil, fmt.Errorf("%s: %v", path, err)
 	}
-	fmt.Printf("machine spec %s: engine %s, backend %s, %d core(s), design %v — OK\n",
-		path, r.Engine, r.Backend, cfg.NumCores, cfg.Design)
-	return nil
+	return spec, cfg, nil
 }
 
 // runVerify statically verifies every built-in workload trace in both

@@ -1,12 +1,12 @@
-// Package enginecheck is the spec-level model checker for MetadataEngine
-// policies. Where internal/check lints one recorded execution and
+// Package enginecheck is the spec-level model checker for metadata-engine
+// rows. Where internal/check lints one recorded execution and
 // internal/check/verify proves one trace over all crash points, this
-// package checks the ENGINE itself, before any simulation: the policy
-// table must be internally coherent (rules C0–C3), its claimed crash
+// package checks the ENGINE itself, before any simulation: the row's
+// columns must be internally coherent (rules C0–C3), its claimed crash
 // consistency must hold when the paper's persistency protocols are
 // symbolically executed under the engine's persistence semantics
-// (invariants V1–V5, via verify.Model), and its Recover implementation
-// must actually reconstruct plaintext from the images its table permits
+// (invariants V1–V5, via verify.Model), and its recovery algorithm
+// must actually reconstruct plaintext from the images its row permits
 // (rule C4).
 //
 // The check is bidirectional. An engine claiming CrashConsistent must
@@ -82,22 +82,21 @@ type Report struct {
 func (r Report) Clean() bool { return len(r.Findings) == 0 }
 
 // ModelFor derives the verifier's persistence model from an engine's
-// policy table: how the annotation maps to effective atomicity, whether
+// row: how the annotation maps to effective atomicity, whether
 // separate counter durability is ever at risk, whether ccwb is ordered
 // by the next fence, and how integrity-tree paths persist.
 func ModelFor(e engines.Engine, cfg *config.Config) *verify.Model {
-	wthru := e.MetadataWriteThrough()
 	return &verify.Model{
 		AtomicWrite: e.WriteIsCounterAtomic,
-		CounterFree: !e.Encrypted() || e.CoLocatesCounters() ||
-			e.StopLossLimit(cfg) >= 0 || wthru,
-		CCWBUnordered: !(e.CounterWritebackEmits() && e.CounterWritebackBlocks()),
+		CounterFree: !e.Encrypted || e.CoLocatesCounters ||
+			e.StopLossLimit(cfg) >= 0 || e.MetadataWriteThrough,
+		CCWBUnordered: !(e.CounterWritebackEmits && e.CounterWritebackBlocks),
 		// A write-through engine's tree is as durable as its counters —
 		// by construction — so V5 only ever constrains engines whose
 		// tree paths ride the counter writeback.
-		TreeProtected:       e.IntegrityProtected() && !wthru,
-		TreePathWithCounter: e.TreePathWrites(cfg) > 0,
-		TreePathUnordered:   !e.TreePathOrdered(),
+		TreeProtected:       e.IntegrityProtected && !e.MetadataWriteThrough,
+		TreePathWithCounter: e.TreePathWithCounter,
+		TreePathUnordered:   e.TreePathUnordered,
 	}
 }
 
@@ -106,12 +105,12 @@ func ModelFor(e engines.Engine, cfg *config.Config) *verify.Model {
 // (StopLoss); nil uses the engine design's Table-2 default.
 func Check(e engines.Engine, cfg *config.Config) Report {
 	if cfg == nil {
-		cfg = config.Default(e.Design())
+		cfg = config.Default(e.Design)
 	}
-	rep := Report{Engine: e.Name()}
+	rep := Report{Engine: e.Name}
 	fail := func(rule, program, format string, args ...interface{}) {
 		rep.Findings = append(rep.Findings, Finding{
-			Engine: e.Name(), Rule: rule, Program: program,
+			Engine: e.Name, Rule: rule, Program: program,
 			Message: fmt.Sprintf(format, args...),
 		})
 	}
@@ -123,24 +122,24 @@ func Check(e engines.Engine, cfg *config.Config) Report {
 	// C4 claim soundness, disclaiming direction: an engine that
 	// disclaims crash consistency must actually exhibit a violation, or
 	// the disclaimer is hiding a checkable (and claimable) guarantee.
-	if !e.CrashConsistent() && violations == 0 {
+	if !e.CrashConsistent && violations == 0 {
 		fail("C4", "", "engine disclaims crash consistency but every abstract program verifies clean under its persistence model")
 	}
 	return rep
 }
 
-// checkTable runs the purely structural rules C0–C3 over the policy
-// answers alone.
+// checkTable runs the purely structural rules C0–C3 over the row's
+// columns alone.
 func checkTable(e engines.Engine, cfg *config.Config, fail func(rule, program, format string, args ...interface{})) {
-	enc := e.Encrypted()
-	cache := e.UsesCounterCache()
-	coloc := e.CoLocatesCounters()
-	sep := e.SeparateCounterWrites()
-	emit := e.CounterWritebackEmits()
-	wait := e.CounterWritebackBlocks()
+	enc := e.Encrypted
+	cache := e.UsesCounterCache
+	coloc := e.CoLocatesCounters
+	sep := e.SeparateCounterWrites
+	emit := e.CounterWritebackEmits
+	wait := e.CounterWritebackBlocks
 	stopLoss := e.StopLossLimit(cfg)
-	integ := e.IntegrityProtected()
-	wthru := e.MetadataWriteThrough()
+	integ := e.IntegrityProtected
+	wthru := e.MetadataWriteThrough
 
 	// C0: structural coherence.
 	if coloc && sep {
@@ -167,7 +166,7 @@ func checkTable(e engines.Engine, cfg *config.Config, fail func(rule, program, f
 	if wthru && !sep {
 		fail("C0", "", "write-through metadata needs a separate counter region for the combined counter+MAC line")
 	}
-	if e.TreePathWrites(cfg) > 0 && !integ {
+	if e.TreePathWithCounter && !integ {
 		fail("C0", "", "tree-path writes without IntegrityProtected: there is no tree to update")
 	}
 
@@ -184,7 +183,7 @@ func checkTable(e engines.Engine, cfg *config.Config, fail func(rule, program, f
 	// engine claiming consistency must get coalesced counters to NVM
 	// before the switch publishes them: a blocking writeback path, a
 	// stop-loss bound, or forcing every write counter-atomic.
-	if e.CrashConsistent() && enc && sep && cache {
+	if e.CrashConsistent && enc && sep && cache {
 		if !(emit && wait) && stopLoss < 0 && !wthru && !e.WriteIsCounterAtomic(false) {
 			fail("C2", "", "counter-cached engine claims consistency but has no blocking counter-writeback path before a commit switch (emits=%v blocks=%v stopLoss=%d forceCA=%v)",
 				emit, wait, stopLoss, e.WriteIsCounterAtomic(false))
@@ -194,7 +193,7 @@ func checkTable(e engines.Engine, cfg *config.Config, fail func(rule, program, f
 	// C3: pairing coherence. An indivisible per-write counter pair only
 	// makes sense when every write is counter-atomic and the pair's
 	// counter half has a separate region to land in.
-	if e.PairsEveryWrite() {
+	if e.PairsEveryWrite {
 		if !e.WriteIsCounterAtomic(false) {
 			fail("C3", "", "PairsEveryWrite without WriteIsCounterAtomic(annotated=false): unannotated writes would emit unpaired counter halves")
 		}
@@ -218,13 +217,13 @@ func checkPrograms(e engines.Engine, cfg *config.Config, rep *Report) int {
 			Model:  model,
 		})
 		total += len(res.Violations)
-		if !e.CrashConsistent() {
+		if !e.CrashConsistent {
 			continue // violations CONFIRM the disclaimer
 		}
 		for i := range res.Violations {
 			v := res.Violations[i]
 			rep.Findings = append(rep.Findings, Finding{
-				Engine: e.Name(), Rule: v.Inv, Program: p.Name,
+				Engine: e.Name, Rule: v.Inv, Program: p.Name,
 				Message:   v.Message,
 				Violation: &v,
 			})
@@ -234,11 +233,11 @@ func checkPrograms(e engines.Engine, cfg *config.Config, rep *Report) int {
 }
 
 // checkRecovery runs C4's semantic half: tiny synthetic post-crash
-// images pushed through the engine's real Recover.
+// images pushed through the engine's Recover.
 func checkRecovery(e engines.Engine, cfg *config.Config, fail func(rule, program, format string, args ...interface{})) {
 	lay := mem.NewLayout(cfg.MemoryBytes)
 	var enc *ctrenc.Engine
-	if e.Encrypted() {
+	if e.Encrypted {
 		enc = ctrenc.NewDefault()
 	}
 	addr := mem.Addr(0).LineAddr()
@@ -275,7 +274,7 @@ func checkRecovery(e engines.Engine, cfg *config.Config, fail func(rule, program
 	// detect a torn counter/tree path: data re-encrypted under a newer
 	// counter than NVM holds fails the root walk and must be reported
 	// unrecovered, or torn paths are silently accepted as valid data.
-	if e.IntegrityProtected() && !e.MetadataWriteThrough() && e.StopLossLimit(cfg) < 0 {
+	if e.IntegrityProtected && !e.MetadataWriteThrough && e.StopLossLimit(cfg) < 0 {
 		_, cost := e.Recover(cfg, lay, enc, image(6, 5))
 		if cost.Unrecovered == 0 {
 			fail("C4", "", "Recover accepts a torn integrity path (data one counter ahead of NVM) without reporting it unrecovered: the tree-root check is missing")

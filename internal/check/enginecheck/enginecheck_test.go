@@ -35,7 +35,7 @@ func TestBuiltinEnginesClean(t *testing.T) {
 func TestMutantsCaught(t *testing.T) {
 	seen := map[string]bool{}
 	for _, m := range Mutants() {
-		name := m.Engine.Name()
+		name := m.Engine.Name
 		if seen[name] {
 			t.Fatalf("duplicate mutant name %s", name)
 		}
@@ -69,7 +69,7 @@ func TestMutantsCaught(t *testing.T) {
 // The SCA model must be indistinguishable from the verifier's default:
 // the machine the trace IR was specified against.
 func TestSCAModelIsDefault(t *testing.T) {
-	model := ModelFor(engines.SCA, nil)
+	model := ModelFor(mustEngine(t, "sca"), nil)
 	if model == nil {
 		t.Fatal("nil model")
 	}
@@ -86,7 +86,7 @@ func TestSCAModelIsDefault(t *testing.T) {
 // Ideal must be confirmed inconsistent by an actual violating schedule,
 // not just rubber-stamped by its disclaimer.
 func TestIdealDisclaimConfirmed(t *testing.T) {
-	model := ModelFor(engines.Ideal, nil)
+	model := ModelFor(mustEngine(t, "ideal"), nil)
 	total := 0
 	for _, p := range Programs() {
 		res := verify.Verify(p.Trace, verify.Options{Arenas: p.Arenas, Model: model})
@@ -102,11 +102,11 @@ func TestIdealDisclaimConfirmed(t *testing.T) {
 func TestCounterexampleReplay(t *testing.T) {
 	var m Mutant
 	for _, c := range Mutants() {
-		if c.Engine.Name() == "ideal-claims-consistent" {
+		if c.Engine.Name == "ideal-claims-consistent" {
 			m = c
 		}
 	}
-	if m.Engine == nil {
+	if m.Engine.Name == "" {
 		t.Fatal("catalog is missing ideal-claims-consistent")
 	}
 	rep := Check(m.Engine, nil)
@@ -118,9 +118,9 @@ func TestCounterexampleReplay(t *testing.T) {
 		}
 	}
 	if f == nil {
-		t.Fatalf("no V-rule finding with a schedule for %s: %v", m.Engine.Name(), rep.Findings)
+		t.Fatalf("no V-rule finding with a schedule for %s: %v", m.Engine.Name, rep.Findings)
 	}
-	file := NewFile(m.Engine.Name(), *f, ModelFor(m.Engine, nil))
+	file := NewFile(m.Engine.Name, *f, ModelFor(m.Engine, nil))
 	if len(file.Ops) == 0 || len(file.Arenas) == 0 {
 		t.Fatal("counterexample file is missing the abstract trace")
 	}
@@ -154,7 +154,7 @@ func TestCounterexampleReplayDetectsDrift(t *testing.T) {
 	if f == nil {
 		t.Fatal("no schedule-bearing finding")
 	}
-	file := NewFile("ideal-claims-consistent", *f, ModelFor(engines.Ideal, nil))
+	file := NewFile("ideal-claims-consistent", *f, ModelFor(mustEngine(t, "ideal"), nil))
 	// An ordered ccwb heals the violation: replay must notice.
 	file.Model.CCWBUnordered = false
 	if err := file.Replay(); err == nil {
@@ -165,12 +165,21 @@ func TestCounterexampleReplayDetectsDrift(t *testing.T) {
 func mustMutant(t *testing.T, name string) engines.Engine {
 	t.Helper()
 	for _, m := range Mutants() {
-		if m.Engine.Name() == name {
+		if m.Engine.Name == name {
 			return m.Engine
 		}
 	}
 	t.Fatalf("no mutant %s", name)
-	return nil
+	return engines.Engine{}
+}
+
+func mustEngine(t *testing.T, name string) engines.Engine {
+	t.Helper()
+	e, err := engines.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestRulesCatalog(t *testing.T) {
@@ -192,12 +201,12 @@ func TestCheckDeterministic(t *testing.T) {
 		a := Check(m.Engine, nil)
 		b := Check(m.Engine, nil)
 		if len(a.Findings) != len(b.Findings) {
-			t.Fatalf("%s: nondeterministic finding count", m.Engine.Name())
+			t.Fatalf("%s: nondeterministic finding count", m.Engine.Name)
 		}
 		for i := range a.Findings {
 			if a.Findings[i].String() != b.Findings[i].String() {
 				t.Fatalf("%s: finding %d drifted:\n%s\n%s",
-					m.Engine.Name(), i, a.Findings[i], b.Findings[i])
+					m.Engine.Name, i, a.Findings[i], b.Findings[i])
 			}
 		}
 	}

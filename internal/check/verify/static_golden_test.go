@@ -94,7 +94,7 @@ func corpusModels() []namedModel {
 	ms := []namedModel{{"default", nil}}
 	for _, n := range engines.Names() {
 		e, _ := engines.ByName(n)
-		ms = append(ms, namedModel{n, enginecheck.ModelFor(e, config.Default(e.Design()))})
+		ms = append(ms, namedModel{n, enginecheck.ModelFor(e, config.Default(e.Design))})
 	}
 	return ms
 }

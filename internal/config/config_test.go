@@ -15,35 +15,28 @@ func TestDefaultValid(t *testing.T) {
 	}
 }
 
+// CoLocatesCounters is the one counter-placement answer config keeps: it
+// sizes the 72-bit bus in Default. The engine table owns the rest.
 func TestDesignPredicates(t *testing.T) {
 	cases := []struct {
-		d                              Design
-		enc, ccache, coloc, sepCounter bool
+		d     Design
+		coloc bool
 	}{
-		{NoEncryption, false, false, false, false},
-		{Ideal, true, true, false, true},
-		{CoLocated, true, false, true, false},
-		{CoLocatedCC, true, true, true, false},
-		{FCA, true, true, false, true},
-		{SCA, true, true, false, true},
-		{Osiris, true, true, false, true},
-		// An out-of-range value is not a real design: Encrypted() is
-		// true only because NoEncryption is the sole plaintext value,
-		// and every membership-style predicate reports false.
-		{Design(99), true, false, false, false},
+		{NoEncryption, false},
+		{Ideal, false},
+		{CoLocated, true},
+		{CoLocatedCC, true},
+		{FCA, false},
+		{SCA, false},
+		{Osiris, false},
+		{BMT, false},
+		{SecPM, false},
+		// An out-of-range value is not a real design.
+		{Design(99), false},
 	}
 	for _, c := range cases {
-		if c.d.Encrypted() != c.enc {
-			t.Errorf("%v.Encrypted() = %v", c.d, c.d.Encrypted())
-		}
-		if c.d.UsesCounterCache() != c.ccache {
-			t.Errorf("%v.UsesCounterCache() = %v", c.d, c.d.UsesCounterCache())
-		}
 		if c.d.CoLocatesCounters() != c.coloc {
 			t.Errorf("%v.CoLocatesCounters() = %v", c.d, c.d.CoLocatesCounters())
-		}
-		if c.d.SeparateCounterWrites() != c.sepCounter {
-			t.Errorf("%v.SeparateCounterWrites() = %v", c.d, c.d.SeparateCounterWrites())
 		}
 	}
 }
@@ -202,9 +195,8 @@ func TestAccessTimings(t *testing.T) {
 
 func TestOsirisPredicates(t *testing.T) {
 	d := Osiris
-	if !d.Encrypted() || !d.UsesCounterCache() || !d.SeparateCounterWrites() || d.CoLocatesCounters() {
-		t.Fatalf("Osiris predicates wrong: enc=%v cc=%v sep=%v colo=%v",
-			d.Encrypted(), d.UsesCounterCache(), d.SeparateCounterWrites(), d.CoLocatesCounters())
+	if d.CoLocatesCounters() {
+		t.Fatal("Osiris co-locates counters")
 	}
 	if d.String() != "Osiris" {
 		t.Fatalf("String = %q", d.String())

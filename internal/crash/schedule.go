@@ -50,11 +50,18 @@ func (o ReplayOutcome) String() string {
 // committed, or when the victim heap line no longer holds the value the
 // program had committed by the crash point — the effect is gone even
 // though the image is internally consistent.
+//
+// A schedule whose crash op is not an op of tr names no crash point and
+// is rejected with an error.
 func ReplaySchedule(w workloads.Workload, tr *trace.Trace, arena persist.Arena,
 	sched *verify.Schedule) (ReplayOutcome, error) {
 
 	if err := tr.Validate(); err != nil {
 		return ReplayOutcome{}, err
+	}
+	if sched.CrashOp < 0 || sched.CrashOp >= tr.Len() {
+		return ReplayOutcome{}, fmt.Errorf("crash: schedule crash op %d out of range: the trace has ops [0, %d)",
+			sched.CrashOp, tr.Len())
 	}
 	space := verify.BuildImage(tr, sched)
 	rep := persist.Recover(space, arena)

@@ -1,23 +1,23 @@
-// Package engines defines the MetadataEngine interface — the pluggable
-// policy seam of the machine architecture — and its nine concrete
-// implementations, one per evaluated memory-system design.
-//
-// A MetadataEngine answers every question the memory controller and the
-// crash harness used to settle by branching on config.Design: where
+// Package engines is the metadata-engine table — the policy seam of the
+// machine architecture. An Engine is one row: a flat struct whose
+// columns answer every question the memory controller and the crash
+// harness used to settle by branching on config.Design: where
 // encryption counters live (co-located with the data, or in a separate
 // counter region behind a counter cache), when a write must be
 // counter-atomic, whether write acceptance is strict FIFO, whether
 // counter_cache_writeback() produces traffic and blocks persist barriers,
-// how much integrity-tree metadata each counter write drags along (or
-// whether metadata writes through with the data, SecPM-style), and how
-// post-crash recovery reconstructs plaintext from whatever landed in
-// NVM. New designs become new implementations of this interface
-// registered as machine specs — no controller edits required.
+// whether counter writes carry an integrity-tree path (or metadata
+// writes through with the data, SecPM-style), and which firmware
+// algorithm reconstructs plaintext from whatever landed in NVM.
+//
+// The nine builtin rows are the paper's six designs (§6.1), the Osiris
+// extension, and the BMT and SecPM integrity engines. A new design is a
+// new row, registered as a machine spec — no controller edits required;
+// enginecheck's seeded mutants are builtin rows with a column broken.
 //
 // The package is a leaf: it imports only the functional model (config,
 // mem, ctrenc), never the controller, so both internal/memctrl and
 // in-package controller tests can depend on it without cycles.
-// internal/machine re-exports the interface as machine.MetadataEngine.
 package engines
 
 import (
@@ -29,91 +29,100 @@ import (
 	"encnvm/internal/mem"
 )
 
-// Engine is the metadata-engine interface (re-exported as
-// machine.MetadataEngine). Implementations are stateless policy objects:
-// the controller owns all queues, caches and per-line state, and consults
-// the engine for every decision that varies across designs.
-type Engine interface {
+// Engine is one row of the metadata-engine table: stateless policy,
+// held by value. The controller owns all queues, caches and per-line
+// state and reads the row's columns in its per-write path. ByName and
+// ForDesign return copies, so no caller can edit a builtin row.
+type Engine struct {
 	// Name is the registry/spec name ("sca", "fca", ...).
-	Name() string
-	// Design is the config.Design enum value this engine implements —
-	// the enum is presentation sugar over the engine registry.
-	Design() config.Design
+	Name string
+	// Design is the config.Design enum value this row implements — the
+	// enum is presentation sugar over the engine registry.
+	Design config.Design
 
-	// Encrypted reports whether writes are counter-mode encrypted.
-	Encrypted() bool
-	// UsesCounterCache reports whether counters are cached on chip.
-	UsesCounterCache() bool
-	// CoLocatesCounters reports whether the 8B counter travels with its
-	// 64B data line as one widened 72B access.
-	CoLocatesCounters() bool
-	// SeparateCounterWrites reports whether counters are written back to
-	// a separate counter region with their own accesses.
-	SeparateCounterWrites() bool
+	// Encrypted: writes are counter-mode encrypted.
+	Encrypted bool
+	// UsesCounterCache: counters are cached on chip.
+	UsesCounterCache bool
+	// CoLocatesCounters: the 8B counter travels with its 64B data line
+	// as one widened 72B access.
+	CoLocatesCounters bool
+	// SeparateCounterWrites: counters are written back to a separate
+	// counter region with their own accesses.
+	SeparateCounterWrites bool
 
-	// FIFOAcceptance reports whether write acceptance is strictly FIFO
-	// (FCA): a blocked counter-atomic write stalls every younger write.
-	FIFOAcceptance() bool
-	// PairsEveryWrite reports whether each counter-atomic data write is
-	// paired with its own non-coalescing counter-line write (FCA's
-	// indivisible pair, which doubles its write traffic).
-	PairsEveryWrite() bool
-	// WriteIsCounterAtomic decides the final counter-atomicity of a data
-	// write given its software annotation.
-	WriteIsCounterAtomic(annotated bool) bool
+	// FIFOAcceptance: write acceptance is strictly FIFO (FCA): a blocked
+	// counter-atomic write stalls every younger write.
+	FIFOAcceptance bool
+	// PairsEveryWrite: each counter-atomic data write is paired with its
+	// own non-coalescing counter-line write (FCA's indivisible pair,
+	// which doubles its write traffic).
+	PairsEveryWrite bool
+	// ForceCounterAtomic makes every write counter-atomic and
+	// DropCounterAtomic makes none; with neither, the software
+	// annotation decides (WriteIsCounterAtomic).
+	ForceCounterAtomic bool
+	DropCounterAtomic  bool
 
-	// CounterWritebackEmits reports whether counter_cache_writeback()
-	// produces a counter write at all (false when counters co-locate
-	// with data, are absent, or are recovered from checksums).
-	CounterWritebackEmits() bool
-	// CounterWritebackBlocks reports whether the primitive's acceptance
-	// callback must wait for the counter write to enter the ADR domain.
-	// The Ideal design pays the traffic but never the ordering — which
-	// is exactly why it is not crash consistent.
-	CounterWritebackBlocks() bool
+	// CounterWritebackEmits: counter_cache_writeback() produces a
+	// counter write at all (false when counters co-locate with data, are
+	// absent, or are recovered from checksums).
+	CounterWritebackEmits bool
+	// CounterWritebackBlocks: the primitive's acceptance callback waits
+	// for the counter write to enter the ADR domain. The Ideal design
+	// pays the traffic but never the ordering — which is exactly why it
+	// is not crash consistent.
+	CounterWritebackBlocks bool
 
-	// StopLossLimit returns the Osiris stop-loss bound: after this many
-	// rewrites a line's counter must head to NVM. Negative disables the
-	// rule entirely (0 writes the counter back with every data write).
-	StopLossLimit(cfg *config.Config) int
+	// StopLoss enables the Osiris stop-loss rule (StopLossLimit).
+	StopLoss bool
 
-	// IntegrityProtected reports whether the engine maintains persisted
-	// integrity metadata (tree nodes and MACs) over the counters, so a
-	// post-crash image must also be tree-verifiable (invariant V5).
-	IntegrityProtected() bool
-	// TreePathWrites returns how many extra metadata line writes each
-	// counter write carries: the line's ancestor tree-node path plus its
-	// MAC line for a Bonsai-Merkle-tree engine, 0 for engines without a
-	// persisted tree (or whose metadata travels with the data write).
-	TreePathWrites(cfg *config.Config) int
-	// TreePathOrdered reports that the tree-path writes enter the ADR
-	// domain together with the counter write they accompany — the fence
-	// that makes the counter durable makes the path durable too.
-	TreePathOrdered() bool
-	// MetadataWriteThrough reports that the combined counter+MAC
-	// metadata line is enqueued with every data write (SecPM): metadata
-	// is crash consistent by construction, and separate counter
-	// durability is never at risk.
-	MetadataWriteThrough() bool
+	// IntegrityProtected: the engine maintains persisted integrity
+	// metadata (tree nodes and MACs) over the counters, so a post-crash
+	// image must also be tree-verifiable (invariant V5).
+	IntegrityProtected bool
+	// TreePathWithCounter: every counter write carries the line's
+	// ancestor tree-node path plus its MAC line (TreePathWrites).
+	TreePathWithCounter bool
+	// TreePathUnordered: those tree-path writes are not fence-ordered
+	// with the counter write they accompany. False is the sound answer:
+	// the fence that makes the counter durable makes the path durable
+	// too.
+	TreePathUnordered bool
+	// MetadataWriteThrough: the combined counter+MAC metadata line is
+	// enqueued with every data write (SecPM): metadata is crash
+	// consistent by construction, and separate counter durability is
+	// never at risk.
+	MetadataWriteThrough bool
+
+	// Recovery is the firmware algorithm Recover runs.
+	Recovery Recovery
 
 	// CrashConsistent is the design's crash-consistency claim: whether a
 	// correctly annotated program recovers to a consistent plaintext
 	// image from any crash point. The claim is an input, not a derived
 	// fact — enginecheck verifies it in both directions against the rest
-	// of the policy table (a claiming engine must verify clean under the
-	// V0–V4 invariants; a disclaiming engine must exhibit at least one
+	// of the row (a claiming engine must verify clean under the V0–V5
+	// invariants; a disclaiming engine must exhibit at least one
 	// violating schedule, otherwise the disclaimer is unjustified).
-	CrashConsistent() bool
-
-	// Recover reconstructs the plaintext view of a post-crash NVM image
-	// the way this design's firmware would, from the completed device
-	// writes. The cost is zero for every engine except Osiris (whose
-	// checksum-guided candidate search is the quantity the Anubis
-	// follow-on optimizes) and BMT (whose root walk charges one MAC
-	// verification per line and reports torn tree paths unrecovered).
-	Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
-		writes map[mem.Addr]mem.Write) (*mem.Space, RecoveryCost)
+	CrashConsistent bool
 }
+
+// Recovery names the firmware algorithm that reconstructs plaintext
+// from a post-crash image.
+type Recovery uint8
+
+const (
+	// CounterRegion decrypts each data line with the counter persisted
+	// in the image's counter region.
+	CounterRegion Recovery = iota
+	// ChecksumWindow searches a stop-loss window of counters for the one
+	// whose plaintext matches the line's persisted checksum (Osiris).
+	ChecksumWindow
+	// TreeWalk decrypts with the persisted counter and verifies each
+	// line against the tree root, reporting torn paths unrecovered (BMT).
+	TreeWalk
+)
 
 // RecoveryCost quantifies recovery work. Trials counts candidate
 // decryptions (each a full-line AES operation); Recovered counts lines
@@ -127,75 +136,51 @@ type RecoveryCost struct {
 	Unrecovered int
 }
 
-// policy is the shared implementation: a declarative per-design policy
-// table. The nine engines differ only in this data; behaviorally novel
-// designs implement Engine directly.
-type policy struct {
-	name     string
-	design   config.Design
-	enc      bool // counter-mode encryption
-	cache    bool // on-chip counter cache
-	coloc    bool // counters travel with the data line
-	sep      bool // separate counter-region writes
-	fifo     bool // strict FIFO acceptance
-	pairs    bool // per-write indivisible counter pair
-	forceCA  bool // every write is counter-atomic
-	dropCA   bool // no write is ever counter-atomic
-	ccwbEmit bool // ccwb produces a counter write
-	ccwbWait bool // ccwb blocks the persist barrier
-	stopLoss bool // Osiris stop-loss counter writes
-	integ    bool // persisted integrity tree + MACs over the counters
-	wthru    bool // combined counter+MAC enqueued with every data write
-
-	consistent bool // the design's crash-consistency claim
-}
-
-func (p *policy) Name() string                 { return p.name }
-func (p *policy) Design() config.Design        { return p.design }
-func (p *policy) Encrypted() bool              { return p.enc }
-func (p *policy) UsesCounterCache() bool       { return p.cache }
-func (p *policy) CoLocatesCounters() bool      { return p.coloc }
-func (p *policy) SeparateCounterWrites() bool  { return p.sep }
-func (p *policy) FIFOAcceptance() bool         { return p.fifo }
-func (p *policy) PairsEveryWrite() bool        { return p.pairs }
-func (p *policy) CounterWritebackEmits() bool  { return p.ccwbEmit }
-func (p *policy) CounterWritebackBlocks() bool { return p.ccwbWait }
-func (p *policy) CrashConsistent() bool        { return p.consistent }
-func (p *policy) IntegrityProtected() bool     { return p.integ }
-func (p *policy) MetadataWriteThrough() bool   { return p.wthru }
-func (p *policy) TreePathOrdered() bool        { return true }
-
-func (p *policy) TreePathWrites(cfg *config.Config) int {
-	if !p.integ || p.wthru {
-		return 0
-	}
-	return TreeDepth(cfg) + 1 // ancestor path + the line's MAC line
-}
-
-func (p *policy) WriteIsCounterAtomic(annotated bool) bool {
-	if p.forceCA {
+// WriteIsCounterAtomic decides the final counter-atomicity of a data
+// write given its software annotation.
+func (e Engine) WriteIsCounterAtomic(annotated bool) bool {
+	if e.ForceCounterAtomic {
 		return true
 	}
-	if p.dropCA {
+	if e.DropCounterAtomic {
 		return false
 	}
 	return annotated
 }
 
-func (p *policy) StopLossLimit(cfg *config.Config) int {
-	if !p.stopLoss {
+// StopLossLimit returns the Osiris stop-loss bound: after this many
+// rewrites a line's counter must head to NVM. Negative disables the
+// rule entirely (0 writes the counter back with every data write).
+func (e Engine) StopLossLimit(cfg *config.Config) int {
+	if !e.StopLoss {
 		return -1
 	}
 	return cfg.StopLoss
 }
 
-func (p *policy) Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
+// TreePathWrites returns how many extra metadata line writes each
+// counter write carries: the line's ancestor tree-node path plus its
+// MAC line when TreePathWithCounter is set, 0 otherwise.
+func (e Engine) TreePathWrites(cfg *config.Config) int {
+	if !e.TreePathWithCounter {
+		return 0
+	}
+	return TreeDepth(cfg) + 1
+}
+
+// Recover reconstructs the plaintext view of a post-crash NVM image
+// the way this design's firmware would, from the completed device
+// writes. The cost is zero except under ChecksumWindow (Osiris, whose
+// candidate search is the quantity the Anubis follow-on optimizes) and
+// TreeWalk (BMT, whose root walk charges one MAC verification per line
+// and reports torn tree paths unrecovered).
+func (e Engine) Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
 	writes map[mem.Addr]mem.Write) (*mem.Space, RecoveryCost) {
 
-	if p.stopLoss {
+	switch e.Recovery {
+	case ChecksumWindow:
 		return recoverOsiris(cfg, lay, enc, writes)
-	}
-	if p.integ && !p.wthru {
+	case TreeWalk:
 		return recoverBMT(lay, enc, writes)
 	}
 	return recoverCounters(lay, enc, writes), RecoveryCost{}
@@ -320,92 +305,95 @@ func recoverBMT(lay mem.Layout, enc *ctrenc.Engine,
 	return space, cost
 }
 
-// The nine concrete engines: the paper's six (§6.1), the Osiris
-// extension, and the two integrity-tree designs.
-var (
-	// Plaintext is an NVMM system without any encryption.
-	Plaintext Engine = &policy{name: "noenc", design: config.NoEncryption,
-		dropCA: true, consistent: true}
+// builtins is the engine table: the paper's six designs (§6.1), the
+// Osiris extension, and the two integrity-tree designs.
+var builtins = []Engine{
+	// An NVMM system without any encryption.
+	{Name: "noenc", Design: config.NoEncryption,
+		DropCounterAtomic: true, CrashConsistent: true},
 	// Ideal coalesces counters freely and never orders their writebacks;
 	// ccwb emits traffic but the barrier does not wait for it — which is
 	// exactly why it disclaims crash consistency.
-	Ideal Engine = &policy{name: "ideal", design: config.Ideal,
-		enc: true, cache: true, sep: true, ccwbEmit: true}
+	{Name: "ideal", Design: config.Ideal,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		CounterWritebackEmits: true},
 	// CoLocated moves the counter with the data over a widened 72b bus;
 	// atomic by construction, serializing read + decrypt.
-	CoLocated Engine = &policy{name: "colocated", design: config.CoLocated,
-		enc: true, coloc: true, dropCA: true, consistent: true}
+	{Name: "colocated", Design: config.CoLocated,
+		Encrypted: true, CoLocatesCounters: true,
+		DropCounterAtomic: true, CrashConsistent: true},
 	// CoLocatedCC is CoLocated plus a counter cache, overlapping
 	// decryption of cached counters with the data fetch.
-	CoLocatedCC Engine = &policy{name: "colocatedcc", design: config.CoLocatedCC,
-		enc: true, cache: true, coloc: true, dropCA: true, consistent: true}
+	{Name: "colocatedcc", Design: config.CoLocatedCC,
+		Encrypted: true, UsesCounterCache: true, CoLocatesCounters: true,
+		DropCounterAtomic: true, CrashConsistent: true},
 	// FCA enforces the ready-bit pairing protocol for every write, in
 	// strict FIFO acceptance order.
-	FCA Engine = &policy{name: "fca", design: config.FCA,
-		enc: true, cache: true, sep: true, fifo: true, pairs: true,
-		forceCA: true, ccwbEmit: true, ccwbWait: true, consistent: true}
+	{Name: "fca", Design: config.FCA,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		FIFOAcceptance: true, PairsEveryWrite: true, ForceCounterAtomic: true,
+		CounterWritebackEmits: true, CounterWritebackBlocks: true,
+		CrashConsistent: true},
 	// SCA pays the pairing protocol only for writes annotated
 	// CounterAtomic; everything else coalesces until a ccwb drains it.
-	SCA Engine = &policy{name: "sca", design: config.SCA,
-		enc: true, cache: true, sep: true, ccwbEmit: true, ccwbWait: true,
-		consistent: true}
+	{Name: "sca", Design: config.SCA,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		CounterWritebackEmits: true, CounterWritebackBlocks: true,
+		CrashConsistent: true},
 	// Osiris recovers counters from per-line checksums within a
 	// stop-loss window; atomicity is never enforced and ccwb is a no-op.
-	Osiris Engine = &policy{name: "osiris", design: config.Osiris,
-		enc: true, cache: true, sep: true, dropCA: true, stopLoss: true,
-		consistent: true}
+	{Name: "osiris", Design: config.Osiris,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		DropCounterAtomic: true, StopLoss: true, Recovery: ChecksumWindow,
+		CrashConsistent: true},
 	// BMT is SCA plus a persisted Bonsai Merkle tree: every counter
 	// write additionally carries the line's ancestor tree-node path and
 	// MAC into the counter write queue (Freij et al.'s streamlined tree
 	// update), so the fence that makes a counter durable makes its path
 	// durable too and V5 holds wherever V2 does.
-	BMT Engine = &policy{name: "bmt", design: config.BMT,
-		enc: true, cache: true, sep: true, ccwbEmit: true, ccwbWait: true,
-		integ: true, consistent: true}
+	{Name: "bmt", Design: config.BMT,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		CounterWritebackEmits: true, CounterWritebackBlocks: true,
+		IntegrityProtected: true, TreePathWithCounter: true, Recovery: TreeWalk,
+		CrashConsistent: true},
 	// SecPM writes the combined counter+MAC metadata line through with
 	// every data write (Zuo et al.); the counter write queue's
 	// coalescing provides the paper's counter write coalescing. Crash
 	// consistent by construction: no annotations, no ordering
 	// primitives, no recovery search.
-	SecPM Engine = &policy{name: "secpm", design: config.SecPM,
-		enc: true, cache: true, sep: true, dropCA: true, integ: true,
-		wthru: true, consistent: true}
-)
-
-// byName indexes the built-in engines.
-var byName = map[string]Engine{}
-
-func init() {
-	for _, e := range []Engine{Plaintext, Ideal, CoLocated, CoLocatedCC, FCA, SCA, Osiris, BMT, SecPM} {
-		byName[e.Name()] = e
-	}
+	{Name: "secpm", Design: config.SecPM,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		DropCounterAtomic: true, IntegrityProtected: true,
+		MetadataWriteThrough: true, CrashConsistent: true},
 }
 
-// ByName returns the built-in engine with the given registry name.
+// ByName returns a copy of the builtin row with the given registry name.
 func ByName(name string) (Engine, error) {
-	e, ok := byName[name]
-	if !ok {
-		return nil, fmt.Errorf("engines: unknown metadata engine %q (valid: %v)", name, Names())
+	for _, e := range builtins {
+		if e.Name == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	return Engine{}, fmt.Errorf("engines: unknown metadata engine %q (valid: %v)", name, Names())
 }
 
-// Names lists the built-in engine names, sorted.
+// Names lists the builtin engine names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(byName))
-	for n := range byName {
-		out = append(out, n)
+	out := make([]string, 0, len(builtins))
+	for _, e := range builtins {
+		out = append(out, e.Name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// ForDesign returns the engine implementing the given design enum value.
+// ForDesign returns a copy of the builtin row implementing the given
+// design enum value.
 func ForDesign(d config.Design) (Engine, error) {
-	for _, e := range byName {
-		if e.Design() == d {
+	for _, e := range builtins {
+		if e.Design == d {
 			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("engines: no metadata engine for design %v", d)
+	return Engine{}, fmt.Errorf("engines: no metadata engine for design %v", d)
 }

@@ -6,32 +6,58 @@ import (
 	"encnvm/internal/config"
 )
 
-// The policy table must reproduce the design predicates exactly — these
-// pairs were branch conditions in the controller before the refactor.
+// The counter-placement columns pin what the controller used to branch
+// on per design, for all nine rows; every row round-trips through both
+// lookups.
 func TestPolicyTableMatchesDesignPredicates(t *testing.T) {
-	for _, d := range config.AllDesigns {
-		e, err := ForDesign(d)
+	want := map[string]struct {
+		design                 config.Design
+		enc, cache, coloc, sep bool
+		recovery               Recovery
+	}{
+		"noenc":       {config.NoEncryption, false, false, false, false, CounterRegion},
+		"ideal":       {config.Ideal, true, true, false, true, CounterRegion},
+		"colocated":   {config.CoLocated, true, false, true, false, CounterRegion},
+		"colocatedcc": {config.CoLocatedCC, true, true, true, false, CounterRegion},
+		"fca":         {config.FCA, true, true, false, true, CounterRegion},
+		"sca":         {config.SCA, true, true, false, true, CounterRegion},
+		"osiris":      {config.Osiris, true, true, false, true, ChecksumWindow},
+		"bmt":         {config.BMT, true, true, false, true, TreeWalk},
+		"secpm":       {config.SecPM, true, true, false, true, CounterRegion},
+	}
+	names := Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want the %d rows of the table", names, len(want))
+	}
+	for _, name := range names {
+		w, ok := want[name]
+		if !ok {
+			t.Fatalf("unexpected engine %q", name)
+		}
+		e, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Design() != d {
-			t.Errorf("%s: Design() = %v, want %v", e.Name(), e.Design(), d)
+		if e.Name != name || e.Design != w.design {
+			t.Errorf("ByName(%q) = %s/%v, want %s/%v", name, e.Name, e.Design, name, w.design)
 		}
-		if e.Encrypted() != d.Encrypted() {
-			t.Errorf("%s: Encrypted() = %v", e.Name(), e.Encrypted())
+		if e.Encrypted != w.enc || e.UsesCounterCache != w.cache ||
+			e.CoLocatesCounters != w.coloc || e.SeparateCounterWrites != w.sep {
+			t.Errorf("%s: enc=%v cache=%v coloc=%v sep=%v, want %v %v %v %v", name,
+				e.Encrypted, e.UsesCounterCache, e.CoLocatesCounters, e.SeparateCounterWrites,
+				w.enc, w.cache, w.coloc, w.sep)
 		}
-		if e.UsesCounterCache() != d.UsesCounterCache() {
-			t.Errorf("%s: UsesCounterCache() = %v", e.Name(), e.UsesCounterCache())
+		// config sizes the 72-bit bus from its own copy of this column.
+		if e.CoLocatesCounters != e.Design.CoLocatesCounters() {
+			t.Errorf("%s: CoLocatesCounters = %v, config.Design says %v",
+				name, e.CoLocatesCounters, e.Design.CoLocatesCounters())
 		}
-		if e.CoLocatesCounters() != d.CoLocatesCounters() {
-			t.Errorf("%s: CoLocatesCounters() = %v", e.Name(), e.CoLocatesCounters())
+		if e.Recovery != w.recovery {
+			t.Errorf("%s: Recovery = %v, want %v", name, e.Recovery, w.recovery)
 		}
-		if e.SeparateCounterWrites() != d.SeparateCounterWrites() {
-			t.Errorf("%s: SeparateCounterWrites() = %v", e.Name(), e.SeparateCounterWrites())
-		}
-		byName, err := ByName(e.Name())
-		if err != nil || byName.Design() != d {
-			t.Errorf("ByName(%q) does not round-trip (%v)", e.Name(), err)
+		byDesign, err := ForDesign(e.Design)
+		if err != nil || byDesign != e {
+			t.Errorf("ForDesign(%v) does not round-trip to %s (%v)", e.Design, name, err)
 		}
 	}
 	if _, err := ForDesign(config.Design(99)); err == nil {
@@ -42,9 +68,31 @@ func TestPolicyTableMatchesDesignPredicates(t *testing.T) {
 	}
 }
 
+// Lookups hand out copies: editing a returned row must not reach the
+// table.
+func TestLookupsReturnCopies(t *testing.T) {
+	e, err := ByName("sca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Encrypted, e.CrashConsistent = false, false
+	d, err := ForDesign(config.SCA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.CounterWritebackBlocks = false
+	again, err := ByName("sca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Encrypted || !again.CrashConsistent || !again.CounterWritebackBlocks {
+		t.Fatal("editing a looked-up row changed the builtin table")
+	}
+}
+
 // Write atomicity is the subtlest branch the controller used to carry:
-// FCA forces every write counter-atomic, co-located and Osiris designs
-// drop the annotation, Ideal and SCA honor it.
+// FCA forces every write counter-atomic, co-located, Osiris and SecPM
+// designs drop the annotation, Ideal, SCA and BMT honor it.
 func TestWriteIsCounterAtomic(t *testing.T) {
 	cases := []struct {
 		engine           string
@@ -57,6 +105,8 @@ func TestWriteIsCounterAtomic(t *testing.T) {
 		{"fca", true, true},
 		{"sca", false, true},
 		{"osiris", false, false},
+		{"bmt", false, true},
+		{"secpm", false, false},
 	}
 	for _, c := range cases {
 		e, err := ByName(c.engine)
@@ -83,14 +133,16 @@ func TestCrashConsistencyClaims(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := name != "ideal"
-		if got := e.CrashConsistent(); got != want {
-			t.Errorf("%s: CrashConsistent() = %v, want %v", name, got, want)
+		if e.CrashConsistent != want {
+			t.Errorf("%s: CrashConsistent = %v, want %v", name, e.CrashConsistent, want)
 		}
 	}
 }
 
 // Only Osiris runs the stop-loss rule; everyone else reports the -1
-// sentinel that disables the lag tracker entirely.
+// sentinel that disables the lag tracker entirely. Only BMT carries a
+// tree path with its counter writes: the ancestor path plus the MAC
+// line, 9 writes under the Table-2 geometry.
 func TestStopLossLimit(t *testing.T) {
 	cfg := config.Default(config.Osiris)
 	cfg.StopLoss = 7
@@ -105,6 +157,13 @@ func TestStopLossLimit(t *testing.T) {
 		}
 		if got := e.StopLossLimit(cfg); got != want {
 			t.Errorf("%s: StopLossLimit = %d, want %d", name, got, want)
+		}
+		wantTree := 0
+		if name == "bmt" {
+			wantTree = 9
+		}
+		if got := e.TreePathWrites(cfg); got != wantTree {
+			t.Errorf("%s: TreePathWrites = %d, want %d", name, got, wantTree)
 		}
 	}
 }

@@ -1,15 +1,16 @@
 // Package machine is the component architecture of the simulator: two
-// narrow interfaces — MetadataEngine (counter placement, encryption
-// timing, atomicity protocol) and Backend (the timed device) — plus a
-// builder that assembles a full machine (simulation engine, device,
-// memory controller, shared L2) from a declarative, JSON-serializable
-// Spec. The config.Design enum the figures are written in terms of is
-// sugar over the registered spec table (Register/ByName).
+// pluggable components — a metadata engine (a row of the engines table:
+// counter placement, encryption, the atomicity protocol, recovery) and a
+// Backend (the timed device) — plus a builder that assembles a full
+// machine (simulation engine, device, memory controller, shared L2)
+// from a declarative, JSON-serializable Spec. The config.Design enum the
+// figures are written in terms of is sugar over the registered spec
+// table (Register/ByName).
 //
-// The interfaces live where their consumers sit: MetadataEngine is
-// defined in the leaf subpackage machine/engines (so internal/memctrl
-// can depend on it without a cycle) and Backend in internal/nvm; this
-// package re-exports both as the architecture's public seam.
+// The components live where their consumers sit: the engine table in
+// the leaf subpackage machine/engines (so internal/memctrl can depend on
+// it without a cycle) and the Backend interface in internal/nvm, which
+// this package re-exports.
 package machine
 
 import (
@@ -21,10 +22,6 @@ import (
 	"encnvm/internal/sim"
 	"encnvm/internal/stats"
 )
-
-// MetadataEngine is the design-policy component: counter placement,
-// encryption, the counter-atomicity protocol, and post-crash recovery.
-type MetadataEngine = engines.Engine
 
 // Backend is the timed-device component: a memory technology's array
 // timing behind the shared bank/bus structure.
@@ -39,7 +36,7 @@ type Machine struct {
 	Spec *Spec          // fully-resolved description (manifest embedding)
 	Cfg  *config.Config // the exact configuration the components share
 
-	Meta MetadataEngine
+	Meta engines.Engine
 	Back Backend
 
 	Eng *sim.Engine
@@ -87,7 +84,7 @@ func FromConfig(cfg *config.Config) (*Machine, error) {
 
 // assemble wires the components. cfg is shared, not copied: the caller
 // owns any cloning (sweeps clone per cell before building).
-func assemble(spec *Spec, cfg *config.Config, meta MetadataEngine, back Backend) *Machine {
+func assemble(spec *Spec, cfg *config.Config, meta engines.Engine, back Backend) *Machine {
 	eng := sim.New()
 	st := stats.New()
 	dev := nvm.NewWithBackend(eng, cfg, back, st)

@@ -32,18 +32,28 @@ func TestBuiltinSpecsResolveToDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := config.Default(meta.Design()).WithCores(1)
+		want := config.Default(meta.Design).WithCores(1)
 		if !reflect.DeepEqual(cfg, want) {
-			t.Errorf("%s: resolved config differs from config.Default(%v)", name, meta.Design())
+			t.Errorf("%s: resolved config differs from config.Default(%v)", name, meta.Design)
 		}
 	}
 }
 
+// Every engine's design, the integrity engines' included, resolves
+// through SpecForDesign to its own builtin spec.
 func TestSpecForDesignCoversEnum(t *testing.T) {
-	for _, d := range config.AllDesigns {
+	for _, name := range engines.Names() {
+		e, err := engines.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := e.Design
 		spec, err := machine.SpecForDesign(d)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
+		}
+		if spec.Engine != name {
+			t.Errorf("SpecForDesign(%v) names engine %q, want %q", d, spec.Engine, name)
 		}
 		cfg, err := spec.Config()
 		if err != nil {

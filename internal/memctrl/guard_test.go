@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// The controller's policy decisions all flow through the metadata engine
-// interface; the design enum and its predicates must never reappear in
-// this package's non-test sources. This pins the refactor: a new design
-// becomes a new engine, not a new branch here.
+// The controller's policy decisions are all columns of its engine row;
+// the design enum and its predicates must never reappear in this
+// package's non-test sources. This pins the refactor: a new design
+// becomes a new engine row, not a new branch here.
 func TestNoDesignBranchingInController(t *testing.T) {
 	entries, err := os.ReadDir(".")
 	if err != nil {
@@ -38,8 +38,8 @@ func TestNoDesignBranchingInController(t *testing.T) {
 			}
 			switch sel.Sel.Name {
 			case "Design", "Encrypted", "UsesCounterCache", "CoLocatesCounters", "SeparateCounterWrites":
-				// Engine-interface calls carry these names too; only
-				// flag selections rooted at the config package or at a
+				// Engine columns carry these names too; only flag
+				// selections rooted at the config package or at a
 				// config value (cfg, mc.cfg, ...).
 				var root string
 				switch x := sel.X.(type) {
@@ -52,55 +52,6 @@ func TestNoDesignBranchingInController(t *testing.T) {
 					t.Errorf("%s: %s.%s — design policy must live in internal/machine/engines",
 						fset.Position(sel.Pos()), root, sel.Sel.Name)
 				}
-			}
-			return true
-		})
-	}
-}
-
-// The engine's static predicates are compiled into the flat
-// engines.Policy at build time (mc.pol); the per-write paths must read
-// those fields, never call back through the MetadataEngine interface.
-// Only the dynamic hooks — WriteIsCounterAtomic (per-write input) and
-// Recover (post-crash) — may be invoked on mc.meta. This pins the
-// devirtualization: a new static predicate becomes a Policy field, not
-// an interface call in the hot path.
-func TestHotPathFreeOfEngineInterfaceCalls(t *testing.T) {
-	allowed := map[string]bool{
-		"WriteIsCounterAtomic": true,
-		"Recover":              true,
-	}
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			// A call on the engine field looks like <recv>.meta.<Method>(...).
-			recv, ok := sel.X.(*ast.SelectorExpr)
-			if !ok || recv.Sel.Name != "meta" {
-				return true
-			}
-			if !allowed[sel.Sel.Name] {
-				t.Errorf("%s: meta.%s() — static predicates must be read from the compiled Policy (mc.pol)",
-					fset.Position(sel.Pos()), sel.Sel.Name)
 			}
 			return true
 		})

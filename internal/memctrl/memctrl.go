@@ -5,11 +5,11 @@
 //
 // The evaluated designs differ only in policy, and the controller holds
 // none of it: every design decision — counter placement, atomicity,
-// acceptance order, writeback behavior — is delegated to the
-// machine/engines.Engine it is built with. The controller owns the
+// acceptance order, writeback behavior — is a column of the
+// machine/engines.Engine row it is built with. The controller owns the
 // mechanism (queues, counter cache, encryption pipeline, issue
-// scheduling); the engine answers the policy questions. Adding a design
-// means implementing the engine interface, not editing this package.
+// scheduling); the row answers the policy questions. Adding a design
+// means adding an engine row, not editing this package.
 //
 // Counter-atomicity protocol: a CA write is accepted only when the data
 // write queue and the counter write queue both have a free entry; both
@@ -83,17 +83,13 @@ type writeReq struct {
 
 // Controller is the memory controller for one simulated system.
 type Controller struct {
-	eng  *sim.Engine
-	cfg  *config.Config
-	meta engines.Engine // design policy: the dynamic hooks (WriteIsCounterAtomic, Recover)
-	// pol is the engine's static policy compiled to a flat struct at
-	// build time: the per-write paths read these fields instead of
-	// making interface calls (the devirtualization of ROADMAP item 2).
-	// The guard test pins the hot path to pol; only the dynamic hooks
-	// may go through meta.
-	pol engines.Policy
-	dev *nvm.Device
-	st  *stats.Stats
+	eng *sim.Engine
+	cfg *config.Config
+	// meta is the design's engine row, held by value: the per-write
+	// paths read its columns directly.
+	meta engines.Engine
+	dev  *nvm.Device
+	st   *stats.Stats
 
 	layout mem.Layout
 	enc    *ctrenc.Engine
@@ -153,6 +149,9 @@ type Controller struct {
 	// stopLossLag counts, per data line, writes since the line's counter
 	// last headed to NVM; nil unless the engine enforces a stop-loss rule.
 	stopLossLag map[mem.Addr]int
+	// stopLossLimit is meta.StopLossLimit resolved against the build
+	// config; negative disables the stop-loss rule.
+	stopLossLimit int
 
 	// treeExtraBytes widens every fresh counter-queue entry by the
 	// engine's integrity-tree path (ancestor tree nodes + MAC line, BMT):
@@ -166,23 +165,23 @@ type Controller struct {
 // engine supplying every design decision.
 func New(eng *sim.Engine, cfg *config.Config, meta engines.Engine, dev *nvm.Device, st *stats.Stats) *Controller {
 	mc := &Controller{
-		eng:    eng,
-		cfg:    cfg,
-		meta:   meta,
-		pol:    engines.Compile(meta, cfg),
-		dev:    dev,
-		st:     st,
-		layout: dev.Layout(),
-		ctrs:   ctrenc.NewCounters(),
+		eng:            eng,
+		cfg:            cfg,
+		meta:           meta,
+		dev:            dev,
+		st:             st,
+		layout:         dev.Layout(),
+		ctrs:           ctrenc.NewCounters(),
+		stopLossLimit:  meta.StopLossLimit(cfg),
+		treeExtraBytes: cfg.LineBytes * meta.TreePathWrites(cfg),
 	}
-	mc.treeExtraBytes = cfg.LineBytes * mc.pol.TreePathWrites
-	if mc.pol.Encrypted {
+	if meta.Encrypted {
 		mc.enc = ctrenc.NewDefault()
 	}
-	if mc.pol.UsesCounterCache {
+	if meta.UsesCounterCache {
 		mc.ctrC = cache.New(cfg.CounterCache)
 	}
-	if mc.pol.StopLossLimit >= 0 {
+	if mc.stopLossLimit >= 0 {
 		mc.stopLossLag = make(map[mem.Addr]int)
 	}
 	// Pre-size the queues to their configured capacities and carve the
@@ -297,9 +296,6 @@ func (mc *Controller) pushCounter(e *entry) {
 	mc.counterQ = append(mc.counterQ, e)
 }
 
-// Meta returns the metadata engine the controller was built with.
-func (mc *Controller) Meta() engines.Engine { return mc.meta }
-
 // Counters exposes the authoritative per-line counter state (the values
 // most recently used for encryption) for the crash harness and recovery.
 func (mc *Controller) Counters() *ctrenc.Counters { return mc.ctrs }
@@ -370,17 +366,17 @@ func (mc *Controller) Read(addr mem.Addr, done func()) {
 	}
 
 	switch {
-	case !mc.pol.Encrypted:
+	case !mc.meta.Encrypted:
 		mc.dev.Read(addr, mc.cfg.AccessBytes(), func(mem.Line, bool) { done() })
 
-	case mc.pol.CoLocatesCounters && !mc.pol.UsesCounterCache:
+	case mc.meta.CoLocatesCounters && !mc.meta.UsesCounterCache:
 		// No counter cache: the counter arrives with the data, so
 		// decryption strictly follows the read (Fig. 6a).
 		mc.dev.Read(addr, mc.cfg.AccessBytes(), func(mem.Line, bool) {
 			mc.eng.Schedule(mc.cfg.CryptoLatency, done)
 		})
 
-	case mc.pol.CoLocatesCounters:
+	case mc.meta.CoLocatesCounters:
 		cl := mc.layout.CounterLine(addr)
 		hit := mc.ctrC.Access(cl, false).Hit
 		mc.ctrC.Clean(cl) // co-located counters are never dirty on-chip
@@ -481,7 +477,7 @@ func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted fun
 // ADR domain — immediately if there was nothing to write.
 func (mc *Controller) CounterWriteback(addr mem.Addr, accepted func()) {
 	mc.st.Inc(stats.CCWBs, 1)
-	if !mc.pol.CounterWritebackEmits {
+	if !mc.meta.CounterWritebackEmits {
 		// Co-located designs have no separate counters to write, and
 		// checksum-recovery engines make the primitive unnecessary:
 		// recovery regenerates counters from the persisted ECC within
@@ -497,7 +493,7 @@ func (mc *Controller) CounterWriteback(addr mem.Addr, accepted func()) {
 	cl := mc.layout.CounterLine(addr)
 	req := mc.getReq()
 	req.addr, req.isCtr, req.ccwb, req.arrival = cl, true, true, mc.eng.Now()
-	if !mc.pol.CounterWritebackBlocks {
+	if !mc.meta.CounterWritebackBlocks {
 		// The Ideal design pays the counter write traffic but never
 		// the ordering: the barrier does not wait for the counter to
 		// enter the ADR domain — which is exactly why it is not crash
@@ -562,7 +558,7 @@ func (mc *Controller) tryAccept() {
 	defer func() { mc.accepting = false }()
 	defer mc.probeQueues()
 
-	fifo := mc.pol.FIFOAcceptance
+	fifo := mc.meta.FIFOAcceptance
 	// blockedLines is bounded by acceptWindow, so a linear scan beats a
 	// map allocation on this very hot path; stalls are tallied locally
 	// and flushed to the stats map once per call.
@@ -733,13 +729,13 @@ func (mc *Controller) acceptData(req *writeReq) {
 	var cryptoDelay sim.Time
 	var ctr uint64
 	sum := ctrenc.Checksum(req.plain, req.addr)
-	if mc.pol.Encrypted {
+	if mc.meta.Encrypted {
 		ctr = mc.ctrs.Next(req.addr)
 		cipher = mc.enc.Encrypt(req.plain, req.addr, ctr)
 		cryptoDelay = mc.cfg.CryptoLatency
 		mc.touchCounterCacheForWrite(req.addr)
 		mc.stopLoss(req.addr, cryptoDelay)
-		if mc.pol.MetadataWriteThrough {
+		if mc.meta.MetadataWriteThrough {
 			// SecPM: the combined counter+MAC line rides along with every
 			// data write. Queueing it here puts metadata into the ADR
 			// domain at the same accept instant as the data (crash
@@ -770,7 +766,7 @@ func (mc *Controller) acceptData(req *writeReq) {
 		for _, old := range mc.dataQ {
 			if old.addr == req.addr && !old.issued && !old.ca {
 				old.data, old.tag, old.sum = cipher, ctr, sum
-				if mc.pol.CoLocatesCounters {
+				if mc.meta.CoLocatesCounters {
 					// The refreshed 72B access carries the new counter.
 					old.syncCtr = true
 				}
@@ -785,7 +781,7 @@ func (mc *Controller) acceptData(req *writeReq) {
 
 	e := mc.getEntry()
 	e.addr, e.data, e.nbytes, e.tag, e.sum, e.ca = req.addr, cipher, mc.cfg.AccessBytes(), ctr, sum, req.ca
-	if mc.pol.CoLocatesCounters {
+	if mc.meta.CoLocatesCounters {
 		// The 72B access carries the counter with the data; reflect
 		// that in the functional image at the same completion instant
 		// so the pair is atomic by construction.
@@ -796,7 +792,7 @@ func (mc *Controller) acceptData(req *writeReq) {
 
 	if req.ca {
 		cl := mc.layout.CounterLine(req.addr)
-		if mc.pol.PairsEveryWrite {
+		if mc.meta.PairsEveryWrite {
 			// FCA pairs every write with its own counter-line write —
 			// the pair is indivisible, so the counter half never
 			// coalesces. This is what doubles FCA's write traffic
@@ -982,7 +978,7 @@ func (mc *Controller) stopLoss(addr mem.Addr, cryptoDelay sim.Time) {
 	}
 	line := addr.LineAddr()
 	mc.stopLossLag[line]++
-	if mc.stopLossLag[line] < mc.pol.StopLossLimit {
+	if mc.stopLossLag[line] < mc.stopLossLimit {
 		return
 	}
 	cl := mc.layout.CounterLine(line)
@@ -1023,11 +1019,11 @@ func (mc *Controller) touchCounterCacheForWrite(addr mem.Addr) {
 		return
 	}
 	mc.st.Inc(stats.CounterCacheMiss, 1)
-	if mc.pol.SeparateCounterWrites {
+	if mc.meta.SeparateCounterWrites {
 		// Background fill of the other seven counters in the line.
 		mc.dev.Read(cl, 64, func(mem.Line, bool) {})
 	}
-	if mc.pol.CoLocatesCounters {
+	if mc.meta.CoLocatesCounters {
 		mc.ctrC.Clean(cl) // co-located counters persist with their data
 	}
 }

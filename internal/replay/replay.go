@@ -18,6 +18,7 @@ import (
 	"encnvm/internal/cache"
 	"encnvm/internal/config"
 	"encnvm/internal/machine"
+	"encnvm/internal/machine/engines"
 	"encnvm/internal/mem"
 	"encnvm/internal/memctrl"
 	"encnvm/internal/nvm"
@@ -34,7 +35,7 @@ type System struct {
 	St   *stats.Stats
 	Dev  *nvm.Device
 	MC   *memctrl.Controller
-	Meta machine.MetadataEngine
+	Meta engines.Engine
 	Spec *machine.Spec // fully-resolved machine description
 
 	l2    *cache.Cache

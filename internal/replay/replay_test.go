@@ -66,7 +66,7 @@ func decrypt(sys *System, addr mem.Addr) (mem.Line, bool) {
 	if !ok {
 		return mem.Line{}, false
 	}
-	if !sys.Cfg.Design.Encrypted() {
+	if !sys.Meta.Encrypted {
 		return ct, true
 	}
 	lay := sys.MC.Layout()
