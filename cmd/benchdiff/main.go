@@ -1,16 +1,21 @@
 // Command benchdiff turns `go test -bench` output into schema-tagged
 // BENCH.json files and diffs two of them with per-metric noise
-// tolerances — the trajectory + regression gate behind ROADMAP item 2.
+// tolerances — the allocation and timing gate of CI's bench and
+// campaign jobs.
 //
 //	# capture: run the suite (or ingest saved output) into a BENCH file
 //	benchdiff -run 'BenchmarkReplayPerDesign' -o BENCH.json
 //	go test -run='^$' -bench . -benchmem . | benchdiff -parse - -o BENCH.json
 //
 //	# compare: old vs new, gate on ns/op noise tolerance
-//	benchdiff BENCH_baseline.json BENCH_pr7.json
+//	benchdiff BENCH_baseline.json bench_head.json
 //
-// Exit status mirrors statdiff's contract: 0 when every gated metric is
-// within tolerance, 1 on a regression, 2 on usage or parse errors.
+// A metric the old file lacks (absent or zero) is reported but never
+// gated, so a baseline can leave out ns/op where it holds no bound.
+//
+// Exit status: 0 when every gated metric is within tolerance, 1 on a
+// regression, 2 on a usage error or an unreadable or malformed file.
+// (statdiff differs: it exits 1 on an unreadable manifest.)
 package main
 
 import (

@@ -138,6 +138,54 @@ func TestDiffMemGate(t *testing.T) {
 	}
 }
 
+// A baseline entry without ns_per_op leaves ns/op ungated while its
+// allocation figures stay gated: the single CI gate step relies on this
+// to gate timing only where the baseline records it.
+func TestDiffAbsentBaselineValueUngated(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	writeBenchFile(t, oldPath, sampleBench)
+	data, err := os.ReadFile(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	sca := f.Benchmarks["BenchmarkReplayPerDesign/SCA"]
+	sca.NsPerOp = 0
+	f.Benchmarks["BenchmarkReplayPerDesign/SCA"] = sca
+	if data, err = json.Marshal(f); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(data), "ns_per_op") != 2 {
+		t.Fatalf("baseline keeps ns_per_op on %d entries, want 2: %s", strings.Count(string(data), "ns_per_op"), data)
+	}
+	if err := os.WriteFile(oldPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	slower := strings.Replace(sampleBench, "6084044 ns/op", "60840440 ns/op", 1)
+	cases := []struct {
+		name string
+		text string
+		want int
+	}{
+		{"10x slower, no baseline ns", slower, 0},
+		{"20% more allocs", strings.Replace(slower, "25812 allocs/op", "30975 allocs/op", 1), 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			newPath := filepath.Join(t.TempDir(), "new.json")
+			writeBenchFile(t, newPath, tc.text)
+			var out, errb bytes.Buffer
+			if code := run([]string{"-tol-ns", "0.25", "-tol-mem", "0.10", oldPath, newPath}, &out, &errb); code != tc.want {
+				t.Errorf("exit = %d, want %d\nstdout: %s\nstderr: %s", code, tc.want, out.String(), errb.String())
+			}
+		})
+	}
+}
+
 func TestDiffUsageAndParseErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"only-one.json"}, &out, &errb); code != 2 {

@@ -6,10 +6,11 @@
 // persist-ordering check (persistorder), and the determinism suite
 // guarding the simulator's byte-reproducibility (wallclock,
 // unseededrand, maprange) — over package directories and prints findings
-// in the familiar file:line:col form. Naming an interprocedural analyzer
-// (hotalloc, lockorder) with -analyzers adds a whole-program pass over
-// the hot-loop packages; "-analyzers all" deliberately stays
-// per-package so the default CI invocation needs no call graph.
+// in the familiar file:line:col form. Naming the interprocedural
+// lockorder analyzer with -analyzers adds a whole-program pass over the
+// concurrency layer and the packages it calls; "-analyzers all"
+// deliberately stays per-package so the default CI invocation needs no
+// call graph.
 //
 // Trace verification (-verify): builds every built-in workload trace in
 // both transaction modes and statically enumerates every crash-point
@@ -31,8 +32,7 @@
 //
 // Usage:
 //
-//	persistcheck [-tests] [-list] [-analyzers names]
-//	             [-hotalloc-allow file] [dir ...]
+//	persistcheck [-tests] [-list] [-analyzers names] [dir ...]
 //	persistcheck -verify [-items N] [-ops N] [-opspertx N] [-seed N]
 //	             [-cex-dir dir] [-spec machine.json]
 //	persistcheck -enginecheck [-cex-dir dir] [spec.json ...]
@@ -76,7 +76,7 @@ import (
 
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: persistcheck [-tests] [-list] [-analyzers names] [-hotalloc-allow file] [dir ...]\n"+
+		"usage: persistcheck [-tests] [-list] [-analyzers names] [dir ...]\n"+
 			"       persistcheck -verify [-items N] [-ops N] [-opspertx N] [-seed N] [-cex-dir dir] [-spec machine.json]\n"+
 			"       persistcheck -enginecheck [-cex-dir dir] [spec.json ...]\n"+
 			"       persistcheck -mutants\n\n"+
@@ -97,8 +97,6 @@ func main() {
 	specPath := flag.String("spec", "", "verify: validate this machine-spec JSON file and resolve its configuration first")
 	engineCheck := flag.Bool("enginecheck", false, "contract-check every registry engine (and any spec.json arguments) instead of analyzing source")
 	mutantsMode := flag.Bool("mutants", false, "self-test: every seeded bad-engine mutant must be caught by an expected rule")
-	allowPath := flag.String("hotalloc-allow", "internal/check/analyzers/hotalloc.allow",
-		"hotalloc: allowlist of known hot-path allocation sites (\"\" for none)")
 	version := flag.Bool("version", false, "print build/version information and exit")
 	flag.Usage = usage
 	flag.Parse()
@@ -136,11 +134,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Interprocedural analyzers run only when named explicitly;
-	// whatever InterByName does not recognize goes to the per-package
-	// catalog, so "-analyzers all" stays call-graph-free and unknown
-	// names still fail fast.
-	inter, rest := analyzers.InterByName(*names)
+	// lockorder, the call-graph analyzer, runs only when named
+	// explicitly; every other name goes to the per-package catalog, so
+	// "-analyzers all" stays call-graph-free and unknown names still
+	// fail fast.
+	lockOrder := false
+	var rest []string
+	for _, n := range strings.Split(*names, ",") {
+		switch n = strings.TrimSpace(n); n {
+		case "":
+		case "lockorder":
+			lockOrder = true
+		default:
+			rest = append(rest, n)
+		}
+	}
 	var as []*analyzers.Analyzer
 	if len(rest) > 0 {
 		var err error
@@ -180,8 +188,8 @@ func main() {
 			}
 		}
 	}
-	if len(inter) > 0 {
-		n, err := runInter(roots, inter, *allowPath)
+	if lockOrder {
+		n, err := runLockOrder(roots)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 			os.Exit(2)
@@ -202,9 +210,7 @@ func printCatalog() {
 		fmt.Printf("  %-14s %s\n", a.Name, a.Doc)
 	}
 	fmt.Println("\nInterprocedural analyzers (run only when named with -analyzers):")
-	for _, a := range analyzers.AllInter() {
-		fmt.Printf("  %-14s %s\n", a.Name, a.Doc)
-	}
+	fmt.Printf("  %-14s %s\n", "lockorder", analyzers.LockOrderDoc)
 	fmt.Println("\nTrace lint rules (traceinfo -check):")
 	for _, d := range check.RuleDocs() {
 		fmt.Printf("  %s\n", d)
@@ -219,25 +225,11 @@ func printCatalog() {
 	}
 }
 
-// runInter runs the named interprocedural analyzers over one shared call
-// graph. Each root is narrowed to the hot-loop package scope; a root
+// runLockOrder runs lockorder over one call graph shared by every root.
+// Each root is narrowed to the interprocedural package scope; a root
 // with no in-scope packages (an explicitly named fixture or scratch
 // directory) is taken whole instead.
-func runInter(roots []string, inter []*analyzers.InterAnalyzer, allowPath string) (int, error) {
-	var opts analyzers.InterOptions
-	needsAllow := false
-	for _, a := range inter {
-		if a.Name == "hotalloc" {
-			needsAllow = true
-		}
-	}
-	if needsAllow {
-		allow, err := analyzers.LoadAllowlist(allowPath)
-		if err != nil {
-			return 0, err
-		}
-		opts.Allow = allow
-	}
+func runLockOrder(roots []string) (int, error) {
 	seen := map[string]bool{}
 	var dirs []string
 	for _, root := range roots {
@@ -257,7 +249,7 @@ func runInter(roots []string, inter []*analyzers.InterAnalyzer, allowPath string
 			}
 		}
 	}
-	fs, err := analyzers.RunInter(dirs, inter, &opts)
+	fs, err := analyzers.LockOrder(dirs)
 	if err != nil {
 		return 0, err
 	}

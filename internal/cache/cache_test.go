@@ -259,3 +259,20 @@ func TestDirtyCountMatchesDirtyLines(t *testing.T) {
 		t.Fatalf("after Clean, DirtyCount = %d, want 1", got)
 	}
 }
+
+// TestSteadyStateAllocs pins lookups at zero allocations: a hit, a miss
+// that evicts a dirty victim (three tags cycling through one 2-way set),
+// and Clean all work in place on the preallocated ways.
+func TestSteadyStateAllocs(t *testing.T) {
+	c := tiny()
+	c.Access(addrFor(0, 0), false)
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		i++
+		c.Access(addrFor(0, 0), false)
+		c.Access(addrFor(1, i%3), true)
+		c.Clean(addrFor(1, i%3))
+	}); got > 0 {
+		t.Errorf("Access+Clean allocates %v times, pin 0", got)
+	}
+}

@@ -11,7 +11,7 @@ import (
 )
 
 // Syntactic multi-package call graph, the substrate of the
-// interprocedural analyzer tier (hotalloc, lockorder). Like the rest of
+// interprocedural lockorder analyzer. Like the rest of
 // this package it works without type information, so call resolution is
 // a deliberate over-approximation that errs toward MORE edges:
 //
@@ -23,7 +23,7 @@ import (
 //     — receiver types are unknowable syntactically, so all candidates
 //     are assumed reachable (flags rather than misses);
 //   - function literals are attributed to their enclosing declaration:
-//     a closure built on the hot path runs on the hot path.
+//     a closure's calls count as calls of the function that builds it.
 type CallGraph struct {
 	Fset *token.FileSet
 	// Funcs indexes every loaded declaration by key: "pkg.Name" for
@@ -201,32 +201,4 @@ func recvIdentName(fd *ast.FuncDecl) string {
 		return ""
 	}
 	return fd.Recv.List[0].Names[0].Name
-}
-
-// Reachable returns every function reachable from the functions whose
-// key matches one of the given roots. A root matches a key exactly or as
-// a dot-boundary suffix, so "core.step" selects replay's
-// "replay.core.step" and a fixture package's own "fixture.core.step".
-func (g *CallGraph) Reachable(roots ...string) map[string]bool {
-	seen := map[string]bool{}
-	var queue []string
-	for _, k := range g.keys {
-		for _, r := range roots {
-			if k == r || strings.HasSuffix(k, "."+r) {
-				seen[k] = true
-				queue = append(queue, k)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, c := range g.Funcs[k].Calls {
-			if !seen[c] {
-				seen[c] = true
-				queue = append(queue, c)
-			}
-		}
-	}
-	return seen
 }

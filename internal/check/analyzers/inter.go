@@ -1,85 +1,33 @@
 package analyzers
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
-// The interprocedural analyzer tier. Unlike the vet-style per-package
-// Analyzers, these run over a CallGraph spanning several packages at
-// once: their findings depend on reachability (hotalloc) or on global
-// acquisition order (lockorder), which no single-package pass can see.
+// The interprocedural tier. Unlike the vet-style per-package Analyzers,
+// lockorder runs over one CallGraph spanning several packages at once:
+// a global acquisition order, and locks taken one or more calls away,
+// are invisible to a single-package pass.
 
-// InterAnalyzer describes one call-graph check.
-type InterAnalyzer struct {
-	// Name identifies the analyzer in diagnostics and -analyzers lists.
-	Name string
-	// Doc is the one-line description shown by persistcheck -list.
-	Doc string
-	// Run performs the check over the graph and returns raw findings
-	// (the driver sorts them).
-	Run func(g *CallGraph, opts *InterOptions) ([]Finding, error)
-}
-
-// InterOptions carries shared configuration for one inter run.
-type InterOptions struct {
-	// Allow suppresses hotalloc findings: funcKey -> allowed categories
-	// ("*" allows every category for that function).
-	Allow Allowlist
-}
-
-// AllInter returns the shipped interprocedural analyzers.
-func AllInter() []*InterAnalyzer {
-	return []*InterAnalyzer{HotAlloc, LockOrder}
-}
-
-// InterByName resolves a comma-separated analyzer list against the
-// interprocedural catalog, preserving catalog order. Unknown names are
-// NOT an error here — the caller tries the intra catalog too; it returns
-// the unmatched remainder.
-func InterByName(names string) (matched []*InterAnalyzer, unmatched []string) {
-	want := map[string]bool{}
-	var order []string
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n != "" {
-			want[n] = true
-			order = append(order, n)
-		}
-	}
-	for _, a := range AllInter() {
-		if want[a.Name] {
-			matched = append(matched, a)
-			delete(want, a.Name)
-		}
-	}
-	for _, n := range order {
-		if want[n] {
-			unmatched = append(unmatched, n)
-		}
-	}
-	return matched, unmatched
-}
-
-// interScope lists the package directory base names the
-// interprocedural tier analyzes together: the replay loop and every
-// package it can reach (hotalloc), plus the runner/exp concurrency
-// layer (lockorder). CLI front-ends and the check packages themselves
-// stay out: they run once per process, not once per write.
+// interScope lists the package directory base names lockorder analyzes
+// together: the packages that take locks (runner's worker pool, exp's
+// trace cache, crash's campaign, machine's registry) and every package
+// the code running under those locks can call, down to the replay loop
+// and the machine it drives. Lock-order edges run through calls, so a
+// callee left out of scope would hide the locks it takes. CLI
+// front-ends and the check packages themselves stay out: they hold no
+// lock of their own, so none of their calls can add an order edge.
 var interScope = map[string]bool{
 	"replay": true, "core": true, "memctrl": true, "ctrenc": true,
 	"cache": true, "nvm": true, "mem": true, "sim": true,
 	"machine": true, "engines": true, "trace": true, "stats": true,
 	"persist": true, "crash": true, "config": true,
 	"runner": true, "exp": true, "workloads": true,
-	// perf (the host-side phase profiler) stays out: its Region timer
-	// is only reached from per-phase call sites, never per-write, and
-	// the name-based call graph would weld its End/Store/Load method
-	// names onto unrelated hot-path methods. Its zero-allocation
-	// contract is held by testing.AllocsPerRun tests instead.
+	// perf (the host-side phase profiler) stays out: the name-based
+	// call graph would weld its End/Store/Load method names onto
+	// unrelated methods in scope and charge its profiler lock to every
+	// caller of those names. Its locks guard only its own tables.
 }
 
 // InterDirs filters Walk's output down to the interprocedural scope.
@@ -97,28 +45,6 @@ func InterDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// RunInter builds one call graph over dirs and runs the analyzers,
-// returning findings sorted by position.
-func RunInter(dirs []string, as []*InterAnalyzer, opts *InterOptions) ([]Finding, error) {
-	if opts == nil {
-		opts = &InterOptions{}
-	}
-	g, err := BuildCallGraph(dirs, false)
-	if err != nil {
-		return nil, fmt.Errorf("analyzers: %w", err)
-	}
-	var findings []Finding
-	for _, a := range as {
-		fs, err := a.Run(g, opts)
-		if err != nil {
-			return nil, fmt.Errorf("analyzers: %s: %w", a.Name, err)
-		}
-		findings = append(findings, fs...)
-	}
-	sortFindings(findings)
-	return findings, nil
-}
-
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
@@ -133,48 +59,4 @@ func sortFindings(findings []Finding) {
 		}
 		return findings[i].Message < findings[j].Message
 	})
-}
-
-// Allowlist maps function keys to the hotalloc categories they may
-// allocate in. The on-disk format is one entry per line:
-//
-//	# comment
-//	sim.Engine.At composite   // one category
-//	replay.core.flush *       // every category
-type Allowlist map[string]map[string]bool
-
-// Allows reports whether the (function, category) pair is allowlisted.
-func (al Allowlist) Allows(funcKey, category string) bool {
-	cats := al[funcKey]
-	return cats != nil && (cats["*"] || cats[category])
-}
-
-// LoadAllowlist parses an allowlist file. A missing file is an error —
-// pass "" for an empty allowlist.
-func LoadAllowlist(path string) (Allowlist, error) {
-	if path == "" {
-		return Allowlist{}, nil
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	al := Allowlist{}
-	for i, line := range strings.Split(string(b), "\n") {
-		if idx := strings.Index(line, "#"); idx >= 0 {
-			line = line[:idx]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("%s:%d: want \"<funcKey> <category>\", got %q", path, i+1, line)
-		}
-		if al[fields[0]] == nil {
-			al[fields[0]] = map[string]bool{}
-		}
-		al[fields[0]][fields[1]] = true
-	}
-	return al, nil
 }

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,87 +8,14 @@ import (
 
 func fixtureDir(name string) string { return filepath.Join("testdata", "src", name) }
 
-// hotalloc category is the first word of every finding message.
-func categoryOf(f Finding) string { return strings.Fields(f.Message)[0] }
-
-// The hotbad fixture draws exactly one finding per allocation category,
-// and none from its unreachable cold function.
-func TestHotAllocFixture(t *testing.T) {
-	fs, err := RunInter([]string{fixtureDir("hotbad")}, []*InterAnalyzer{HotAlloc}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"composite": 1, "make": 1, "append": 1, "new": 1, "closure": 1, "box": 1}
-	got := map[string]int{}
-	for _, f := range fs {
-		got[categoryOf(f)]++
-		if strings.Contains(f.Message, "cold") {
-			t.Errorf("cold function flagged, but it is not reachable from core.step: %+v", f)
-		}
-	}
-	for c, n := range want {
-		if got[c] != n {
-			t.Errorf("%s: %d findings, want %d: %v", c, got[c], n, fs)
-		}
-	}
-	if len(fs) != 6 {
-		t.Errorf("total findings = %d, want 6: %v", len(fs), fs)
-	}
-}
-
-// The hotclean fixture — fixed arrays, value composites, defer-invoked
-// literals, an allocating function nothing hot calls — stays clean.
-func TestHotAllocCleanFixture(t *testing.T) {
-	fs, err := RunInter([]string{fixtureDir("hotclean")}, []*InterAnalyzer{HotAlloc}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Errorf("findings = %v, want none", fs)
-	}
-}
-
-// The allowlist suppresses exactly the (function, category) pairs it
-// names; "*" covers every category in a function.
-func TestHotAllocAllowlist(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "allow")
-	content := "# test allowlist\nhotbad.emit *\nhotbad.core.step composite\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	al, err := LoadAllowlist(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := RunInter([]string{fixtureDir("hotbad")}, []*InterAnalyzer{HotAlloc}, &InterOptions{Allow: al})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// emit held new+closure+box, step held the composite: 2 remain.
-	var got []string
-	for _, f := range fs {
-		got = append(got, categoryOf(f))
-	}
-	if strings.Join(got, ",") != "make,append" {
-		t.Errorf("remaining findings = %v, want [make append]: %v", got, fs)
-	}
-}
-
-// hotalloc refuses to run when no replay loop is in scope: silently
-// reporting "clean" over the wrong packages would be worse than an
-// error.
-func TestHotAllocNoRoot(t *testing.T) {
-	_, err := RunInter([]string{fixtureDir("lockclean")}, []*InterAnalyzer{HotAlloc}, nil)
-	if err == nil || !strings.Contains(err.Error(), "core.step") {
-		t.Errorf("err = %v, want a no-root error naming core.step", err)
-	}
-}
+// repoRoot is the module root, three levels above this package.
+var repoRoot = filepath.Join("..", "..", "..")
 
 // The lockbad fixture draws its six seeded findings: two re-acquisitions
 // (one direct, one through a callee), a send and a receive under a held
 // lock, and the lock-order cycle reported in both directions.
 func TestLockOrderFixture(t *testing.T) {
-	fs, err := RunInter([]string{fixtureDir("lockbad")}, []*InterAnalyzer{LockOrder}, nil)
+	fs, err := LockOrder([]string{fixtureDir("lockbad")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +46,10 @@ func TestLockOrderFixture(t *testing.T) {
 }
 
 // The lockclean fixture uses runner's own shapes — balanced sections,
-// defer Unlock, goroutines, consistent two-lock order — and stays clean.
+// defer Unlock, a lock-free helper under a lock, goroutines, consistent
+// two-lock order — and stays clean.
 func TestLockOrderCleanFixture(t *testing.T) {
-	fs, err := RunInter([]string{fixtureDir("lockclean")}, []*InterAnalyzer{LockOrder}, nil)
+	fs, err := LockOrder([]string{fixtureDir("lockclean")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,51 +58,67 @@ func TestLockOrderCleanFixture(t *testing.T) {
 	}
 }
 
-// The call graph resolves local, cross-package, and method calls, and
-// Reachable walks them from a dot-boundary root.
-func TestCallGraphReachable(t *testing.T) {
-	g, err := BuildCallGraph([]string{fixtureDir("hotbad")}, false)
-	if err != nil {
-		t.Fatal(err)
+// calls reports whether the graph has an edge from one key to another,
+// failing the test when from is not in the graph at all.
+func calls(t *testing.T, g *CallGraph, from, to string) bool {
+	t.Helper()
+	info := g.Funcs[from]
+	if info == nil {
+		t.Fatalf("%s is not in the call graph", from)
 	}
-	hot := g.Reachable("core.step")
-	for _, k := range []string{"hotbad.core.step", "hotbad.core.dispatch", "hotbad.emit"} {
-		if !hot[k] {
-			t.Errorf("%s not reachable from core.step; hot set: %v", k, hot)
+	for _, c := range info.Calls {
+		if c == to {
+			return true
 		}
 	}
-	if hot["hotbad.cold"] {
-		t.Error("hotbad.cold must not be reachable from core.step")
-	}
+	return false
 }
 
-// InterByName splits matched inter analyzers from unknown remainders
-// without erroring, so the caller can try the intra catalog next.
-func TestInterByName(t *testing.T) {
-	matched, unmatched := InterByName("hotalloc, wallclock, lockorder")
-	if len(matched) != 2 || matched[0].Name != "hotalloc" || matched[1].Name != "lockorder" {
-		t.Errorf("matched = %v, want [hotalloc lockorder]", matched)
-	}
-	if len(unmatched) != 1 || unmatched[0] != "wallclock" {
-		t.Errorf("unmatched = %v, want [wallclock]", unmatched)
-	}
-}
-
-// The repository's own hot path must be clean under the checked-in
-// allowlist — the same gate cmd/persistcheck enforces in CI.
-func TestRepositoryHotPathClean(t *testing.T) {
-	al, err := LoadAllowlist("hotalloc.allow")
+// The edge rules lockorder's transitive checks rely on: a method call
+// resolves by name, a same-package function call links, a pkg.Func call
+// resolves across packages, and a function nobody calls has no
+// incoming edge.
+func TestCallGraphEdges(t *testing.T) {
+	g, err := BuildCallGraph([]string{fixtureDir("lockbad"), fixtureDir("lockclean")}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := InterDirs(filepath.Join("..", "..", ".."))
+	if !calls(t, g, "lockbad.pool.push", "lockbad.pool.locked") {
+		t.Error("method call p.locked(v) in lockbad.pool.push did not resolve by name")
+	}
+	if !calls(t, g, "lockclean.pool.add", "lockclean.sum") {
+		t.Error("function call sum(...) in lockclean.pool.add did not link")
+	}
+	for _, k := range g.Keys() {
+		if calls(t, g, k, "lockbad.pool.cycleAB") {
+			t.Errorf("%s has an edge to lockbad.pool.cycleAB, which nothing calls", k)
+		}
+	}
+
+	dirs, err := InterDirs(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := BuildCallGraph(dirs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !calls(t, repo, "crash.RunCampaign", "runner.Map") {
+		t.Error("cross-package call runner.Map in crash.RunCampaign did not resolve")
+	}
+}
+
+// The repository's own concurrency layer must be lockorder-clean, the
+// same gate persistcheck -analyzers lockorder enforces in CI.
+func TestRepositoryLockOrderClean(t *testing.T) {
+	dirs, err := InterDirs(repoRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dirs) < 10 {
 		t.Fatalf("inter scope found only %d dirs — wrong root?", len(dirs))
 	}
-	fs, err := RunInter(dirs, AllInter(), &InterOptions{Allow: al})
+	fs, err := LockOrder(dirs)
 	if err != nil {
 		t.Fatal(err)
 	}

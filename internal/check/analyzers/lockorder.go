@@ -24,11 +24,21 @@ import (
 // analyze with a copy of the held set, so balanced lock/unlock inside a
 // branch does not leak; defer x.Unlock() keeps the lock held to the end
 // of the function, which is exactly the window the checks care about.
-var LockOrder = &InterAnalyzer{
-	Name: "lockorder",
-	Doc:  "flags lock-order cycles, channel ops under a held mutex, and re-acquisition",
-	Run:  runLockOrder,
+//
+// LockOrder builds one call graph over dirs and returns the findings
+// sorted by position.
+func LockOrder(dirs []string) ([]Finding, error) {
+	g, err := BuildCallGraph(dirs, false)
+	if err != nil {
+		return nil, fmt.Errorf("analyzers: %w", err)
+	}
+	findings := lockOrder(g)
+	sortFindings(findings)
+	return findings, nil
 }
+
+// LockOrderDoc is lockorder's one-line description for persistcheck -list.
+const LockOrderDoc = "flags lock-order cycles, channel ops under a held mutex, and re-acquisition"
 
 type lockEdge struct {
 	from, to string
@@ -52,7 +62,7 @@ type heldCall struct {
 	pos            token.Pos
 }
 
-func runLockOrder(g *CallGraph, opts *InterOptions) ([]Finding, error) {
+func lockOrder(g *CallGraph) []Finding {
 	st := &lockState{g: g, acquires: map[string]map[string]bool{}}
 	for _, key := range g.Keys() {
 		info := g.Funcs[key]
@@ -159,7 +169,7 @@ func runLockOrder(g *CallGraph, opts *InterOptions) ([]Finding, error) {
 			Message:  fmt.Sprintf("lock order cycle: %s acquires %s while holding %s, but the reverse order also occurs", e.where, e.to, e.from),
 		})
 	}
-	return st.findings, nil
+	return st.findings
 }
 
 // lockWalker runs the per-function linear analysis.

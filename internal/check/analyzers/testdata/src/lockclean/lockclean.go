@@ -1,7 +1,8 @@
 // Package lockclean exercises the same shapes internal/runner uses —
-// balanced lock/unlock, defer Unlock, goroutines launched under a lock,
-// channel ops only after release, two locks always taken in the same
-// order — and must draw zero lockorder findings.
+// balanced lock/unlock, defer Unlock, a lock-free helper called under a
+// lock, goroutines launched under a lock, channel ops only after
+// release, two locks always taken in the same order — and must draw
+// zero lockorder findings.
 package lockclean
 
 import "sync"
@@ -13,11 +14,15 @@ type pool struct {
 	n    int
 }
 
+// add calls a plain helper under the lock; sum takes no lock, so the
+// call adds no order edge.
 func (p *pool) add(v int) {
 	p.mu.Lock()
-	p.n += v
+	p.n = sum(p.n, v)
 	p.mu.Unlock()
 }
+
+func sum(a, b int) int { return a + b }
 
 // wait releases the lock BEFORE blocking on the channel.
 func (p *pool) wait() {

@@ -84,8 +84,13 @@ func (r Report) Clean() bool { return len(r.Findings) == 0 }
 // ModelFor derives the verifier's persistence model from an engine's
 // row: how the annotation maps to effective atomicity, whether
 // separate counter durability is ever at risk, whether ccwb is ordered
-// by the next fence, and how integrity-tree paths persist.
+// by the next fence, and how integrity-tree paths persist. cfg supplies
+// the stop-loss window; nil uses the engine design's Table-2 default,
+// as in Check.
 func ModelFor(e engines.Engine, cfg *config.Config) *verify.Model {
+	if cfg == nil {
+		cfg = config.Default(e.Design)
+	}
 	return &verify.Model{
 		AtomicWrite: e.WriteIsCounterAtomic,
 		CounterFree: !e.Encrypted || e.CoLocatesCounters ||

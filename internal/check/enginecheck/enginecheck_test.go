@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"encnvm/internal/check/verify"
+	"encnvm/internal/config"
 	"encnvm/internal/machine/engines"
 )
 
@@ -63,6 +64,40 @@ func TestMutantsCaught(t *testing.T) {
 	}
 	if len(seen) < 10 {
 		t.Fatalf("mutant catalog has %d entries, want >= 10", len(seen))
+	}
+}
+
+// A nil config means the design's Table-2 default in ModelFor, as in
+// Check, on every builtin row and every mutant: stop-loss rows included,
+// whose limit is read from the config. Every Model field is compared;
+// AtomicWrite by calling it on both annotations.
+func TestModelForNilConfigIsDefault(t *testing.T) {
+	var es []engines.Engine
+	for _, name := range engines.Names() {
+		es = append(es, mustEngine(t, name))
+	}
+	for _, m := range Mutants() {
+		es = append(es, m.Engine)
+	}
+	for _, e := range es {
+		got := reflect.ValueOf(*ModelFor(e, nil))
+		want := reflect.ValueOf(*ModelFor(e, config.Default(e.Design)))
+		for i := 0; i < got.NumField(); i++ {
+			field := got.Type().Field(i).Name
+			if f, ok := got.Field(i).Interface().(func(bool) bool); ok {
+				w := want.Field(i).Interface().(func(bool) bool)
+				for _, annotated := range []bool{true, false} {
+					if f(annotated) != w(annotated) {
+						t.Errorf("%s: %s(%v) = %v with a nil config, %v with the default",
+							e.Name, field, annotated, f(annotated), w(annotated))
+					}
+				}
+				continue
+			}
+			if g, w := got.Field(i).Interface(), want.Field(i).Interface(); g != w {
+				t.Errorf("%s: %s = %v with a nil config, %v with the default", e.Name, field, g, w)
+			}
+		}
 	}
 }
 

@@ -174,3 +174,23 @@ func TestPropertyPackUnpack(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyStateAllocs pins the per-write crypto path. Encrypt and
+// Decrypt allocate twice each: OTP's pad and in escape through the
+// cipher.Block interface. Counters.Next on a line it already tracks
+// allocates nothing.
+func TestSteadyStateAllocs(t *testing.T) {
+	e := NewDefault()
+	var l mem.Line
+	if got := testing.AllocsPerRun(100, func() { l = e.Encrypt(l, 0x40, 7) }); got > 2 {
+		t.Errorf("Encrypt allocates %v times, pin 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { l = e.Decrypt(l, 0x40, 7) }); got > 2 {
+		t.Errorf("Decrypt allocates %v times, pin 2", got)
+	}
+	c := NewCounters()
+	c.Next(0x40)
+	if got := testing.AllocsPerRun(100, func() { c.Next(0x40) }); got > 0 {
+		t.Errorf("Counters.Next allocates %v times, pin 0", got)
+	}
+}

@@ -330,3 +330,25 @@ func TestLogFreeImage(t *testing.T) {
 	}()
 	im.SnapshotAt(200)
 }
+
+// TestSteadyStateAllocs pins the functional image at zero allocations:
+// ApplyFull appends into the log SetLogHint reserved (the warm-up call
+// takes growLog's one allocation) and overwrites an existing map slot,
+// and Space.WriteLine stores into a line it already holds.
+func TestSteadyStateAllocs(t *testing.T) {
+	im := NewImage()
+	im.SetLogHint(1024)
+	var l Line
+	at := sim.Time(0)
+	if got := testing.AllocsPerRun(100, func() {
+		at++
+		im.ApplyFull(0x40, l, at, 1, 2)
+	}); got > 0 {
+		t.Errorf("ApplyFull allocates %v times, pin 0", got)
+	}
+	s := NewSpace()
+	s.WriteLine(0x40, l)
+	if got := testing.AllocsPerRun(100, func() { s.WriteLine(0x40, l) }); got > 0 {
+		t.Errorf("Space.WriteLine allocates %v times, pin 0", got)
+	}
+}

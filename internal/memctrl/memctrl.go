@@ -116,8 +116,8 @@ type Controller struct {
 	// reqPool recycles accept-FIFO requests the same way (ROADMAP item
 	// 2: writeReq pooling). The FIFO is bounded in steady state by the
 	// replay cores' backpressure threshold; the slab covers that, and
-	// overflow (shutdown-flush storms) falls back to the heap via
-	// newReq.
+	// overflow (shutdown-flush storms) falls back to the heap in
+	// getReq.
 	reqPool []*writeReq
 
 	// persistSink, when non-nil, receives the instant of every
@@ -215,13 +215,8 @@ func (mc *Controller) getEntry() *entry {
 		mc.entryPool = mc.entryPool[:n-1]
 		return e
 	}
-	return mc.newEntry()
+	return new(entry)
 }
-
-// newEntry is the pool-miss path, kept separate so the allocation has
-// one named site (hotalloc allowlist: the pool bounds it to queue
-// overflow, not one per write).
-func (mc *Controller) newEntry() *entry { return new(entry) }
 
 // putEntry zeroes a retired entry and returns it to the pool. Entries
 // beyond the pool's capacity (stop-loss overflow) are dropped for the
@@ -256,13 +251,8 @@ func (mc *Controller) getReq() *writeReq {
 		mc.reqPool = mc.reqPool[:n-1]
 		return r
 	}
-	return mc.newReq()
+	return new(writeReq)
 }
-
-// newReq is the pool-miss path, kept separate so the allocation has one
-// named site (hotalloc allowlist: bounded to FIFO overflow, not one per
-// write).
-func (mc *Controller) newReq() *writeReq { return new(writeReq) }
 
 // putReq zeroes a consumed request and returns it to the pool. Requests
 // beyond the slab's capacity are dropped for the GC. Safe to call the

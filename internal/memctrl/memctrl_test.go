@@ -753,3 +753,70 @@ func TestReadQueueCapacity(t *testing.T) {
 		t.Fatal("read queue overflow never counted")
 	}
 }
+
+// TestSteadyStateAllocs pins one controller cycle over a warm 64-line
+// set on every design, averaged over 64 cycles (16 of each phase). A
+// write cycle is a Write, counter-atomic on alternate writes, with a
+// CounterWriteback after every fourth, then a drain; a read cycle is a
+// Read and a drain.
+//
+// What a write allocates: each device write, memctrl's issue closure
+// and nvm.Device.Write's completion closure; each encryption, OTP's pad
+// and in, which escape through cipher.Block (ctrenc); each entry that
+// waits out the crypto delay, a makeEligible closure; each counter entry
+// queueCounterEntry creates, the mc.tryIssue method value its linger
+// deadline schedules. Counter-atomic pairs and counter writebacks put
+// Ideal, SCA and FCA above the co-located designs.
+//
+// What a read allocates: Read's done wrapper and the heap cell of the
+// reassigned done, nvm.Device.Read's completion closure and the callback
+// handed to it. A counter-cache hit goes through join2, which adds the
+// dec closure and the remaining count it shares.
+func TestSteadyStateAllocs(t *testing.T) {
+	pins := []struct {
+		d           config.Design
+		write, read float64
+	}{
+		{config.NoEncryption, 2, 4},
+		{config.Ideal, 7, 6},
+		{config.CoLocated, 5, 4},
+		{config.CoLocatedCC, 5, 6},
+		{config.FCA, 8, 6},
+		{config.SCA, 7, 6},
+		{config.Osiris, 5, 6},
+	}
+	if len(pins) != len(config.AllDesigns) {
+		t.Fatalf("%d pins for %d designs", len(pins), len(config.AllDesigns))
+	}
+	for _, p := range pins {
+		p := p
+		t.Run(p.d.String(), func(t *testing.T) {
+			r := newRig(p.d)
+			nop := func() {}
+			i := 0
+			write := func() {
+				a := mem.Addr(i%64) * 64
+				r.mc.Write(a, lineOf(byte(i)), i%2 == 1, nil)
+				if i%4 == 3 {
+					r.mc.CounterWriteback(a, nop)
+				}
+				i++
+				r.eng.Run()
+			}
+			for i < 128 {
+				write()
+			}
+			if got := testing.AllocsPerRun(64, write); got > p.write {
+				t.Errorf("write cycle allocates %v times, pin %v", got, p.write)
+			}
+			read := func() {
+				r.mc.Read(mem.Addr(i%64)*64, nop)
+				i++
+				r.eng.Run()
+			}
+			if got := testing.AllocsPerRun(64, read); got > p.read {
+				t.Errorf("read cycle allocates %v times, pin %v", got, p.read)
+			}
+		})
+	}
+}

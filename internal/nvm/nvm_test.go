@@ -228,3 +228,25 @@ func TestWriteSumRecorded(t *testing.T) {
 		t.Fatalf("write metadata wrong: %+v", ws)
 	}
 }
+
+// TestSteadyStateAllocs pins one device access plus its drain at one
+// allocation each: the completion closure Read and Write hand the event
+// engine. The wear map, the image log and the latency stats are warm.
+func TestSteadyStateAllocs(t *testing.T) {
+	eng, dev, _ := newDev(config.SCA)
+	var line mem.Line
+	done := func() {}
+	if got := testing.AllocsPerRun(100, func() {
+		dev.Write(0x200, line, 64, 1, 0, done)
+		eng.Run()
+	}); got > 1 {
+		t.Errorf("Write+Run allocates %v times, pin 1 (completion closure)", got)
+	}
+	read := func(mem.Line, bool) {}
+	if got := testing.AllocsPerRun(100, func() {
+		dev.Read(0x200, 64, read)
+		eng.Run()
+	}); got > 1 {
+		t.Errorf("Read+Run allocates %v times, pin 1 (completion closure)", got)
+	}
+}

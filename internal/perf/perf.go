@@ -14,10 +14,10 @@
 // The phase profiler follows probe.Probe's cost model: a nil *Profiler
 // is the default, every method is nil-safe and returns immediately, and
 // an enabled Region is allocation-free after a phase name's first use —
-// a contract pinned by testing.AllocsPerRun tests, the same standard
-// the hotalloc gate holds the simulation hot loop to. Regions belong on
-// per-phase boundaries (trace-build, replay, recover, verify), never on
-// the per-write path.
+// a contract pinned by testing.AllocsPerRun tests, like the runtime
+// pins each layer of the simulation hot loop holds its steady state to.
+// Regions belong on per-phase boundaries (trace-build, replay, recover,
+// verify), never on the per-write path.
 package perf
 
 import (

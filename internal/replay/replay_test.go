@@ -2,6 +2,7 @@ package replay
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"encnvm/internal/config"
@@ -438,5 +439,68 @@ func TestBatchBoundKeepsInterleaving(t *testing.T) {
 	sys, rt := runOne(t, config.NoEncryption, tr)
 	if rt < 2000*sys.Cfg.L1.HitTime {
 		t.Fatalf("runtime %v below the hit-cost floor", rt)
+	}
+}
+
+// TestSteadyStateAllocs pins the whole per-op path below core.step, on
+// every registry engine, at the mallocs the runtime counts over the last
+// quarter of a warm arrayswap replay. RunUntil resumes one replay, so
+// the window sees only steady-state work; AllocsPerRun is not used
+// because its warm-up call would consume the window. What allocates:
+// the per-event closures of memctrl and nvm and replay.core.read's
+// completion, OTP's two escaping blocks per encryption, and the
+// counter queue's makeEligible closures and tryIssue method values.
+// Not parallel: Mallocs is process-wide.
+func TestSteadyStateAllocs(t *testing.T) {
+	pins := map[string]uint64{
+		"noenc": 4398, "secpm": 13730, "osiris": 13749,
+		"colocated": 14379, "colocatedcc": 14379, "bmt": 22793,
+		"sca": 22810, "ideal": 22837, "fca": 31042,
+	}
+	w, err := workloads.ByName("arrayswap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workloads.Params{Seed: 1, Items: 64, Ops: 2000}
+	rt := persist.NewRuntime(persist.ArenaFor(0, 64<<20))
+	w.Setup(rt, p)
+	w.Run(rt, p)
+	tr := rt.Trace()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	names := machine.Names()
+	if len(names) != len(pins) {
+		t.Fatalf("%d pins for %d registry engines %v", len(pins), len(names), names)
+	}
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			build := func() *System {
+				spec, err := machine.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Cores = 1
+				m, err := machine.Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys, err := NewMachine(m, []*trace.Trace{tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			end := build().Run()
+			sys := build()
+			sys.RunUntil(end / 4 * 3)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sys.RunUntil(end)
+			runtime.ReadMemStats(&after)
+			got := after.Mallocs - before.Mallocs
+			if pin, ok := pins[name]; !ok || got > pin {
+				t.Errorf("last quarter of the replay allocates %d times, pin %d", got, pin)
+			}
+		})
 	}
 }

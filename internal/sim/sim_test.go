@@ -270,3 +270,18 @@ func TestOnAdvanceFiresForRunUntilDeadline(t *testing.T) {
 		t.Fatalf("jumps = %v, want [5 100]", jumps)
 	}
 }
+
+// TestSteadyStateAllocs pins the event loop at zero allocations per
+// event: At stores events by value in the queue ReserveEvents sized, and
+// Run pops them in place. Only grow, the cold doubling path, allocates.
+func TestSteadyStateAllocs(t *testing.T) {
+	e := New()
+	e.ReserveEvents(1)
+	fn := func() {}
+	if got := testing.AllocsPerRun(100, func() {
+		e.Schedule(Nanosecond, fn)
+		e.Run()
+	}); got > 0 {
+		t.Errorf("Schedule+Run allocates %v times per event, pin 0", got)
+	}
+}

@@ -281,3 +281,18 @@ func TestPropertyMergeQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyStateAllocs pins the per-event bookkeeping at zero
+// allocations once a name exists: Inc bumps a map slot, Observe adds to
+// the Latency the first sample created.
+func TestSteadyStateAllocs(t *testing.T) {
+	s := New()
+	s.Inc("x", 1)
+	s.Observe("lat", 1)
+	if got := testing.AllocsPerRun(100, func() {
+		s.Inc("x", 1)
+		s.Observe("lat", 3)
+	}); got > 0 {
+		t.Errorf("Inc+Observe allocates %v times, pin 0", got)
+	}
+}
