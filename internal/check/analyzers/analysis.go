@@ -64,7 +64,8 @@ func All() []*Analyzer {
 }
 
 // ByName resolves a comma-separated analyzer list ("" or "all" selects
-// every analyzer), preserving catalog order.
+// every analyzer), preserving catalog order. Of several unknown names
+// it reports the first in the order given.
 func ByName(names string) ([]*Analyzer, error) {
 	if names == "" || names == "all" {
 		return All(), nil
@@ -80,8 +81,10 @@ func ByName(names string) ([]*Analyzer, error) {
 			delete(want, a.Name)
 		}
 	}
-	for n := range want {
-		return nil, fmt.Errorf("analyzers: unknown analyzer %q", n)
+	for _, n := range strings.Split(names, ",") {
+		if n = strings.TrimSpace(n); want[n] {
+			return nil, fmt.Errorf("analyzers: unknown analyzer %q", n)
+		}
 	}
 	return out, nil
 }

@@ -234,3 +234,14 @@ func TestByName(t *testing.T) {
 		t.Error("ByName(nosuch) did not error")
 	}
 }
+
+// TestByNameFirstUnknown requires the first unknown name in the order
+// given to be the one reported, on every call.
+func TestByNameFirstUnknown(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		_, err := ByName("foo,bar,wallclock,baz")
+		if err == nil || !strings.Contains(err.Error(), `"foo"`) {
+			t.Fatalf("call %d: ByName error = %v, want unknown \"foo\"", i, err)
+		}
+	}
+}

@@ -73,7 +73,7 @@ type Partition struct {
 // verify.OpensClass names. The result is deterministic. A structurally
 // invalid trace is rejected — its class enumeration cannot be trusted.
 func Compute(tr trace.Source, opts Options) (*Partition, error) {
-	if err := tr.Validate(); err != nil {
+	if _, err := tr.Check(); err != nil {
 		return nil, fmt.Errorf("prune: invalid trace: %w", err)
 	}
 	n := tr.Len()

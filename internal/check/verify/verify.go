@@ -229,7 +229,7 @@ type verifier struct {
 // cursor so campaigns can verify binary trace files they never
 // materialize; *trace.Trace satisfies Source directly.
 func Verify(tr trace.Source, opts Options) Result {
-	if err := tr.Validate(); err != nil {
+	if _, err := tr.Check(); err != nil {
 		return Result{Ops: tr.Len(), Violations: []Violation{{
 			Inv: "V0", Message: "invalid trace: " + err.Error(),
 		}}}

@@ -8,6 +8,7 @@ import (
 	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/persist"
+	"encnvm/internal/stats"
 	"encnvm/internal/workloads"
 )
 
@@ -163,7 +164,7 @@ func TestRunWorkloadLegacyMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Legacy traces have no ccwb ops at all.
-	if res.Stats.Count("sw.counter_cache_writebacks") != 0 {
+	if res.Stats.Count(stats.CCWBs) != 0 {
 		t.Fatal("legacy trace issued counter_cache_writeback")
 	}
 	if err := VerifyResult(res); err != nil {

@@ -109,34 +109,33 @@ const CounterZeroIsPlain = 0
 // tracked for statistics.
 type Counters struct {
 	writes uint64
-	byLine map[mem.Addr]uint64
+	byLine mem.Table[uint64]
 }
 
 // NewCounters returns an empty counter state.
-func NewCounters() *Counters {
-	return &Counters{byLine: make(map[mem.Addr]uint64)}
-}
+func NewCounters() *Counters { return &Counters{} }
 
 // Next increments the line's counter and returns the fresh value used to
 // encrypt this write.
 func (c *Counters) Next(lineAddr mem.Addr) uint64 {
 	c.writes++
-	la := lineAddr.LineAddr()
-	c.byLine[la]++
-	return c.byLine[la]
+	p := c.byLine.Ptr(lineAddr)
+	*p++
+	return *p
 }
 
 // Current returns the counter most recently assigned to the line, or 0 if
 // the line has never been written.
 func (c *Counters) Current(lineAddr mem.Addr) uint64 {
-	return c.byLine[lineAddr.LineAddr()]
+	v, _ := c.byLine.Get(lineAddr)
+	return v
 }
 
 // Global returns the total number of counter increments (write count).
 func (c *Counters) Global() uint64 { return c.writes }
 
 // Lines returns the number of lines with assigned counters.
-func (c *Counters) Lines() int { return len(c.byLine) }
+func (c *Counters) Lines() int { return c.byLine.Len() }
 
 // Checksum computes the 16-bit plaintext integrity code persisted with a
 // data line — the model of the spare ECC bits that Osiris-style counter

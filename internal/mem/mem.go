@@ -2,8 +2,10 @@
 // types, the data/counter region layout used by designs that store
 // encryption counters separately, a functional NVMM image that records
 // every device write with its completion timestamp (so a crash can be
-// injected by cutting the timeline at any instant), and a sparse
-// byte-addressable space used for plaintext program memory.
+// injected by cutting the timeline at any instant), a sparse
+// byte-addressable space used for plaintext program memory, and Table,
+// the dense per-line store that the image, the space, the counter
+// state, device wear and replay keep their per-line state in.
 package mem
 
 import (
@@ -124,7 +126,7 @@ type Write struct {
 // any instant — that is how the crash harness models a power failure.
 type Image struct {
 	log     []Write
-	cur     map[Addr]Line
+	cur     Table[Line]
 	lastAt  sim.Time
 	retain  bool
 	logHint int
@@ -133,7 +135,7 @@ type Image struct {
 // NewImage returns an empty image that retains its write log (required
 // for crash injection).
 func NewImage() *Image {
-	return &Image{cur: make(map[Addr]Line), retain: true}
+	return &Image{retain: true}
 }
 
 // SetRetainLog controls whether the per-write history is kept. Timing-only
@@ -175,7 +177,7 @@ func (im *Image) ApplyFull(lineAddr Addr, data Line, at sim.Time, tag uint64, su
 	if at > im.lastAt {
 		im.lastAt = at
 	}
-	im.cur[lineAddr] = data
+	*im.cur.Ptr(lineAddr) = data
 }
 
 // growLog grows the write log out of line, honoring a pending SetLogHint
@@ -196,12 +198,11 @@ func (im *Image) growLog() {
 
 // Read returns the current (end-of-run) contents of a line.
 func (im *Image) Read(lineAddr Addr) (Line, bool) {
-	l, ok := im.cur[lineAddr.LineAddr()]
-	return l, ok
+	return im.cur.Get(lineAddr)
 }
 
 // Len returns the number of distinct lines ever written.
-func (im *Image) Len() int { return len(im.cur) }
+func (im *Image) Len() int { return im.cur.Len() }
 
 // Writes returns the append-only write log. Callers must not mutate it.
 func (im *Image) Writes() []Write { return im.log }
@@ -218,10 +219,8 @@ func (im *Image) SnapshotAt(t sim.Time) map[Addr]Line {
 		if t < im.lastAt {
 			panic("mem: SnapshotAt before the end of a log-free image")
 		}
-		out := make(map[Addr]Line, len(im.cur))
-		for a, l := range im.cur {
-			out[a] = l
-		}
+		out := make(map[Addr]Line, im.cur.Len())
+		im.cur.Each(func(a Addr, l *Line) { out[a] = *l })
 		return out
 	}
 	out := make(map[Addr]Line)
@@ -262,33 +261,23 @@ func (im *Image) WriteTimes() []sim.Time {
 
 // Space is a sparse byte-addressable memory backed by 64B lines. The
 // software stack (workloads, the persist runtime, and post-crash recovery)
-// reads and writes plaintext through a Space.
+// reads and writes plaintext through a Space. Reading a line makes it
+// present, as writing does.
 type Space struct {
-	lines map[Addr]*Line
+	lines Table[Line]
 }
 
 // NewSpace returns an empty space.
-func NewSpace() *Space { return &Space{lines: make(map[Addr]*Line)} }
+func NewSpace() *Space { return &Space{} }
 
 // NewSpaceFrom builds a space over a snapshot of line contents, taking
 // ownership of copies of the lines.
 func NewSpaceFrom(snapshot map[Addr]Line) *Space {
 	s := NewSpace()
 	for a, l := range snapshot {
-		cp := l
-		s.lines[a] = &cp
+		*s.lines.Ptr(a) = l
 	}
 	return s
-}
-
-func (s *Space) line(a Addr) *Line {
-	la := a.LineAddr()
-	l, ok := s.lines[la]
-	if !ok {
-		l = new(Line)
-		s.lines[la] = l
-	}
-	return l
 }
 
 // ReadBytes copies n bytes starting at a into a fresh slice. Reads may span
@@ -296,7 +285,7 @@ func (s *Space) line(a Addr) *Line {
 func (s *Space) ReadBytes(a Addr, n int) []byte {
 	out := make([]byte, n)
 	for i := 0; i < n; {
-		l := s.line(a + Addr(i))
+		l := s.lines.Ptr(a + Addr(i))
 		off := (a + Addr(i)).LineOffset()
 		c := copy(out[i:], l[off:])
 		i += c
@@ -307,7 +296,7 @@ func (s *Space) ReadBytes(a Addr, n int) []byte {
 // WriteBytes stores b at address a, spanning lines as needed.
 func (s *Space) WriteBytes(a Addr, b []byte) {
 	for i := 0; i < len(b); {
-		l := s.line(a + Addr(i))
+		l := s.lines.Ptr(a + Addr(i))
 		off := (a + Addr(i)).LineOffset()
 		c := copy(l[off:], b[i:])
 		i += c
@@ -327,27 +316,17 @@ func (s *Space) WriteUint64(a Addr, v uint64) {
 }
 
 // ReadLine returns the full line containing a.
-func (s *Space) ReadLine(a Addr) Line { return *s.line(a) }
+func (s *Space) ReadLine(a Addr) Line { return *s.lines.Ptr(a) }
 
 // WriteLine replaces the full line containing a.
-func (s *Space) WriteLine(a Addr, l Line) { *s.line(a) = l }
+func (s *Space) WriteLine(a Addr, l Line) { *s.lines.Ptr(a) = l }
 
 // Lines returns the addresses of all lines ever touched, sorted.
 func (s *Space) Lines() []Addr {
-	out := make([]Addr, 0, len(s.lines))
-	for a := range s.lines {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Addr, 0, s.lines.Len())
+	s.lines.Each(func(a Addr, _ *Line) { out = append(out, a) })
 	return out
 }
 
 // Clone returns a deep copy of the space.
-func (s *Space) Clone() *Space {
-	out := NewSpace()
-	for a, l := range s.lines {
-		cp := *l
-		out.lines[a] = &cp
-	}
-	return out
-}
+func (s *Space) Clone() *Space { return &Space{lines: s.lines.Clone()} }

@@ -333,8 +333,8 @@ func TestLogFreeImage(t *testing.T) {
 
 // TestSteadyStateAllocs pins the functional image at zero allocations:
 // ApplyFull appends into the log SetLogHint reserved (the warm-up call
-// takes growLog's one allocation) and overwrites an existing map slot,
-// and Space.WriteLine stores into a line it already holds.
+// takes growLog's one allocation) and overwrites a line already present
+// in the table, and Space.WriteLine stores into a line it already holds.
 func TestSteadyStateAllocs(t *testing.T) {
 	im := NewImage()
 	im.SetLogHint(1024)

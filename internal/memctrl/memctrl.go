@@ -333,13 +333,13 @@ func (mc *Controller) Read(addr mem.Addr, done func()) {
 
 	// Forward from an in-flight or waiting write if possible.
 	if mc.findWrite(addr) {
-		mc.st.Inc("mc.read_forwards", 1)
+		mc.st.Inc(stats.ReadForwards, 1)
 		mc.eng.Schedule(forwardLatency, done)
 		return
 	}
 
 	if mc.readsInFlight >= mc.cfg.ReadQueueEntries {
-		mc.st.Inc("mc.read_queue_full", 1)
+		mc.st.Inc(stats.ReadQueueFull, 1)
 		mc.readWaiters = append(mc.readWaiters, func() { mc.Read(addr, done) })
 		return
 	}
@@ -713,7 +713,7 @@ func blockLine(set *[acceptWindow]mem.Addr, n int, a mem.Addr) int {
 func (mc *Controller) acceptData(req *writeReq) {
 	now := mc.eng.Now()
 	mc.persistEpoch() // queue contents and counter-cache state change here
-	mc.st.Observe("mc.accept_delay", now-req.arrival)
+	mc.st.Observe(stats.AcceptDelay, now-req.arrival)
 
 	var cipher mem.Line
 	var cryptoDelay sim.Time
@@ -812,7 +812,7 @@ func (mc *Controller) acceptData(req *writeReq) {
 // gives SCA its counter-traffic reduction (Fig. 14).
 func (mc *Controller) acceptCounter(req *writeReq) {
 	mc.persistEpoch() // queue contents and counter-cache state change here
-	mc.st.Observe("mc.ctr_accept_delay", mc.eng.Now()-req.arrival)
+	mc.st.Observe(stats.CtrAcceptDelay, mc.eng.Now()-req.arrival)
 	if req.ccwb {
 		// The counter line leaves the dirty state now that a write of
 		// its current contents is guaranteed.
@@ -979,7 +979,7 @@ func (mc *Controller) stopLoss(addr mem.Addr, cryptoDelay sim.Time) {
 	for _, da := range mc.layout.DataLinesOf(cl) {
 		delete(mc.stopLossLag, da)
 	}
-	mc.st.Inc("mc.stoploss_counter_writes", 1)
+	mc.st.Inc(stats.StopLossCounterWrites, 1)
 }
 
 // syncCoLocatedCounter updates the single 8B counter slot for a data line

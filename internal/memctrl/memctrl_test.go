@@ -216,7 +216,7 @@ func TestReadForwardsFromWriteQueue(t *testing.T) {
 	if readAt != sim.Time(forwardLatency) {
 		t.Fatalf("forwarded read at %d, want %d", readAt, forwardLatency)
 	}
-	if r.st.Count("mc.read_forwards") != 1 {
+	if r.st.Count(stats.ReadForwards) != 1 {
 		t.Fatal("forward not counted")
 	}
 }
@@ -595,7 +595,7 @@ func TestOsirisStopLossForcesCounterWrite(t *testing.T) {
 			r.mc.Write(0x40, lineOf(byte(i)), false, nil)
 		}
 	})
-	if got := r.st.Count("mc.stoploss_counter_writes"); got != 1 {
+	if got := r.st.Count(stats.StopLossCounterWrites); got != 1 {
 		t.Fatalf("stop-loss counter writes = %d, want 1", got)
 	}
 	if got := r.st.Count(stats.CounterWrites); got == 0 {
@@ -607,7 +607,7 @@ func TestOsirisStopLossForcesCounterWrite(t *testing.T) {
 		r.mc.Write(0x40, lineOf(9), false, nil)
 		r.mc.Write(0x40, lineOf(10), false, nil)
 	})
-	if got := r.st.Count("mc.stoploss_counter_writes"); got != 1 {
+	if got := r.st.Count(stats.StopLossCounterWrites); got != 1 {
 		t.Fatalf("lag did not reset: %d stop-loss writes", got)
 	}
 }
@@ -749,7 +749,7 @@ func TestReadQueueCapacity(t *testing.T) {
 	if completed != 8 {
 		t.Fatalf("completed = %d, want 8", completed)
 	}
-	if r.st.Count("mc.read_queue_full") == 0 {
+	if r.st.Count(stats.ReadQueueFull) == 0 {
 		t.Fatal("read queue overflow never counted")
 	}
 }

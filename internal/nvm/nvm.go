@@ -46,7 +46,7 @@ type Device struct {
 
 	// wear counts device writes per line for endurance analysis
 	// (§6.3.3: PCM cells endure a bounded number of writes).
-	wear map[mem.Addr]uint64
+	wear mem.Table[uint64]
 }
 
 // New builds a device for the given configuration over the default PCM
@@ -69,7 +69,6 @@ func NewWithBackend(eng *sim.Engine, cfg *config.Config, b Backend, st *stats.St
 		writeBanks: make([]sim.Resource, cfg.Banks),
 		image:      mem.NewImage(),
 		st:         st,
-		wear:       make(map[mem.Addr]uint64),
 	}
 }
 
@@ -111,7 +110,7 @@ func (d *Device) Read(addr mem.Addr, nbytes int, done func(data mem.Line, ok boo
 
 	d.st.Inc(stats.Reads, 1)
 	d.st.Inc(stats.BytesRead, uint64(nbytes))
-	d.st.Observe("nvm.read_latency", busEnd-now)
+	d.st.Observe(stats.NVMReadLatency, busEnd-now)
 
 	d.eng.At(busEnd, func() {
 		data, ok := d.image.Read(addr)
@@ -143,8 +142,8 @@ func (d *Device) Write(addr mem.Addr, data mem.Line, nbytes int, tag uint64, sum
 		d.st.Inc(stats.DataWrites, 1)
 		d.st.Inc(stats.DataBytesWritten, uint64(nbytes))
 	}
-	d.st.Observe("nvm.write_latency", bankEnd-now)
-	d.wear[addr]++
+	d.st.Observe(stats.NVMWriteLatency, bankEnd-now)
+	*d.wear.Ptr(addr)++
 
 	d.eng.At(bankEnd, func() {
 		d.image.ApplyFull(addr, data, bankEnd, tag, sum)
@@ -180,11 +179,11 @@ func (d *Device) BusBusyTime() sim.Time { return d.bus.BusyTime() }
 // leveling, lifetime is inversely proportional to total writes; without
 // leveling the hottest line dies first.
 func (d *Device) Wear() (lines int, total, hottest uint64) {
-	for _, n := range d.wear {
-		total += n
-		if n > hottest {
-			hottest = n
+	d.wear.Each(func(_ mem.Addr, n *uint64) {
+		total += *n
+		if *n > hottest {
+			hottest = *n
 		}
-	}
-	return len(d.wear), total, hottest
+	})
+	return d.wear.Len(), total, hottest
 }

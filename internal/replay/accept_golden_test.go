@@ -82,8 +82,8 @@ func TestAcceptanceStatsGolden(t *testing.T) {
 			run := saturatingRun(t, name, cores)
 			b.WriteString(run)
 			if name == "sca" {
-				for _, c := range []string{stats.WriteQueueStalls, stats.ReadyBitWaits} {
-					if !strings.Contains(run, "\n"+c+" ") {
+				for _, c := range []stats.Counter{stats.WriteQueueStalls, stats.ReadyBitWaits} {
+					if !strings.Contains(run, "\n"+c.String()+" ") {
 						t.Errorf("sca cores=%d: %s never counted; the scenario no longer saturates", cores, c)
 					}
 				}

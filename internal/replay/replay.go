@@ -13,7 +13,6 @@ package replay
 
 import (
 	"fmt"
-	"sort"
 
 	"encnvm/internal/cache"
 	"encnvm/internal/config"
@@ -47,7 +46,7 @@ type System struct {
 	plain *mem.Space
 	// caLine marks lines whose most recent store targeted a
 	// CounterAtomic variable; their writebacks use the CA protocol.
-	caLine map[mem.Addr]bool
+	caLine mem.Table[bool]
 
 	finished int
 	started  bool
@@ -112,26 +111,26 @@ var txStageNames = [...]string{"log", "log-seal", "mutate", "commit-switch"}
 // cursor per core; len(srcs) must equal the machine's core count. The
 // type parameter lets in-memory traces ([]*trace.Trace) and binary
 // cursors ([]*trace.BinReader) pass without an adapter. Every source is
-// validated (BinReader validates at construction and reports nil here),
-// and the source lengths pre-size the event queue, the device write log,
-// and the per-transaction history so the replay hot loop runs without
-// growth allocations.
+// checked in one pass (BinReader reports what it counted at
+// construction), and the source lengths pre-size the event queue, the
+// device write log, and the per-transaction history (sized by the TxEnds
+// that pass counts) so the replay hot loop runs without growth
+// allocations.
 func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 	cfg := m.Cfg
 	if len(srcs) != cfg.NumCores {
 		return nil, fmt.Errorf("replay: %d traces for %d cores", len(srcs), cfg.NumCores)
 	}
 	sys := &System{
-		Eng:    m.Eng,
-		Cfg:    cfg,
-		St:     m.St,
-		Dev:    m.Dev,
-		MC:     m.MC,
-		Meta:   m.Meta,
-		Spec:   m.Spec,
-		l2:     m.L2,
-		plain:  mem.NewSpace(),
-		caLine: make(map[mem.Addr]bool),
+		Eng:   m.Eng,
+		Cfg:   cfg,
+		St:    m.St,
+		Dev:   m.Dev,
+		MC:    m.MC,
+		Meta:  m.Meta,
+		Spec:  m.Spec,
+		l2:    m.L2,
+		plain: mem.NewSpace(),
 	}
 	totalOps := 0
 	for i, s := range srcs {
@@ -139,13 +138,14 @@ func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 		if src == nil {
 			return nil, fmt.Errorf("replay: core %d: nil trace source", i)
 		}
-		if err := src.Validate(); err != nil {
+		txEnds, err := src.Check()
+		if err != nil {
 			return nil, fmt.Errorf("replay: core %d: %w", i, err)
 		}
 		totalOps += src.Len()
 		c := &core{
 			sys: sys, id: i, l1: cache.New(cfg.L1), src: src, n: src.Len(),
-			txEnds: make([]sim.Time, trace.CountKind(src, trace.TxEnd)),
+			txEnds: make([]sim.Time, txEnds),
 		}
 		c.stepFn, c.writebackDoneFn = c.step, c.writebackDone
 		sys.cores = append(sys.cores, c)
@@ -164,6 +164,13 @@ func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 
 // Plain returns the replay-time plaintext image (the program's view).
 func (s *System) Plain() *mem.Space { return s.plain }
+
+// counterAtomic reports whether the latest store to line a targeted a
+// CounterAtomic variable.
+func (s *System) counterAtomic(a mem.Addr) bool {
+	ca, _ := s.caLine.Get(a)
+	return ca
+}
 
 // RecordRetireTimes arms per-op retire-time recording on every core.
 // Call before Start/Run. The crash campaign uses the recorded times as
@@ -318,20 +325,17 @@ func (s *System) flush() {
 		return
 	}
 	s.flushed = true
-	dirty := make(map[mem.Addr]bool)
+	var dirty mem.Table[struct{}]
 	for _, c := range s.cores {
 		for _, a := range c.l1.CleanAll() {
-			dirty[a] = true
+			dirty.Ptr(a)
 		}
 	}
 	for _, a := range s.l2.CleanAll() {
-		dirty[a] = true
+		dirty.Ptr(a)
 	}
-	lines := make([]mem.Addr, 0, len(dirty))
-	for a := range dirty {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	lines := make([]mem.Addr, 0, dirty.Len())
+	dirty.Each(func(a mem.Addr, _ *struct{}) { lines = append(lines, a) })
 
 	// Pace the writebacks with a bounded window so a multi-megabyte
 	// dirty set does not flood the controller's accept queue at a
@@ -344,7 +348,7 @@ func (s *System) flush() {
 			a := lines[next]
 			next++
 			inFlight++
-			s.MC.Write(a, s.plain.ReadLine(a), s.caLine[a], func() {
+			s.MC.Write(a, s.plain.ReadLine(a), s.counterAtomic(a), func() {
 				inFlight--
 				pump()
 			})
@@ -377,7 +381,7 @@ const maxBatch = 200 * sim.Nanosecond
 // accumulated time so its interactions happen at the right instant.
 func (c *core) step() {
 	if c.sys.MC.Backlog() > maxBacklog {
-		c.sys.St.Inc("core.backpressure_stalls", 1)
+		c.sys.St.Inc(stats.BackpressureStalls, 1)
 		c.next(20 * sim.Nanosecond)
 		return
 	}
@@ -416,7 +420,7 @@ func (c *core) step() {
 		case trace.Write:
 			if c.l1.Contains(op.Addr) {
 				c.sys.plain.WriteLine(op.Addr.LineAddr(), op.Line)
-				c.sys.caLine[op.Addr.LineAddr()] = op.CounterAtomic
+				*c.sys.caLine.Ptr(op.Addr) = op.CounterAtomic
 				c.l1.Access(op.Addr, true)
 				c.sys.St.Inc(stats.L1Hits, 1)
 				acc += cfg.L1.HitTime
@@ -531,7 +535,7 @@ func (c *core) write(op trace.Op) {
 	sys := c.sys
 	addr := op.Addr.LineAddr()
 	sys.plain.WriteLine(addr, op.Line)
-	sys.caLine[addr] = op.CounterAtomic
+	*sys.caLine.Ptr(addr) = op.CounterAtomic
 
 	res := c.l1.Access(addr, true)
 	c.handleL1Victim(res)
@@ -563,7 +567,7 @@ func (c *core) clwb(addr mem.Addr) {
 	if d1 || d2 {
 		c.outstanding++
 		sys.St.Inc(stats.Clwbs, 1)
-		sys.MC.Write(line, sys.plain.ReadLine(line), sys.caLine[line], c.writebackDoneFn)
+		sys.MC.Write(line, sys.plain.ReadLine(line), sys.counterAtomic(line), c.writebackDoneFn)
 	}
 	c.next(sys.Cfg.L1.HitTime)
 }
@@ -573,8 +577,8 @@ func (c *core) writebackDone() {
 	c.outstanding--
 	if c.fenceWait && c.outstanding == 0 {
 		c.fenceWait = false
-		c.sys.St.AddTime("core.fence_wait", c.sys.Eng.Now()-c.fenceStart)
-		c.sys.St.Observe("core.fence_wait_each", c.sys.Eng.Now()-c.fenceStart)
+		c.sys.St.AddTime(stats.FenceWait, c.sys.Eng.Now()-c.fenceStart)
+		c.sys.St.Observe(stats.FenceWaitEach, c.sys.Eng.Now()-c.fenceStart)
 		c.fenceRetired(c.sys.Eng.Now())
 		c.next(c.sys.Cfg.CPUCycle)
 	}
@@ -611,7 +615,7 @@ func (c *core) l2Access(addr mem.Addr, write bool) cache.AccessResult {
 	res := sys.l2.Access(addr, write)
 	if res.VictimValid && res.VictimDirty {
 		v := res.Victim
-		sys.MC.Write(v, sys.plain.ReadLine(v), sys.caLine[v], nil)
+		sys.MC.Write(v, sys.plain.ReadLine(v), sys.counterAtomic(v), nil)
 	}
 	return res
 }

@@ -375,7 +375,7 @@ func TestBackpressureStallsCores(t *testing.T) {
 		tr.Append(trace.Op{Kind: trace.Clwb, Addr: a})
 	}
 	sys, _ := runOne(t, config.SCA, tr)
-	if sys.St.Count("core.backpressure_stalls") == 0 {
+	if sys.St.Count(stats.BackpressureStalls) == 0 {
 		t.Fatal("no backpressure under a 4000-write burst")
 	}
 }

@@ -14,86 +14,179 @@ import (
 	"encnvm/internal/sim"
 )
 
-// Stats aggregates all measurements of one simulation run.
+// Counter names one event counter. Every counter the simulator bumps is
+// one of the constants below, so a bump indexes an array instead of
+// hashing a name; names appear only when the measurements are listed.
+type Counter uint8
+
+// Event counters, in one place so producers and the harness cannot
+// diverge on a name.
+const (
+	// Memory traffic.
+	DataBytesWritten Counter = iota
+	CounterBytesWritten
+	BytesRead
+	DataWrites
+	CounterWrites
+	Reads
+
+	// Caches.
+	L1Hits
+	L1Misses
+	L2Hits
+	L2Misses
+	CounterCacheHits
+	CounterCacheMiss
+	CounterCacheWB
+
+	// Controller behaviour.
+	CAWrites
+	NonCAWrites
+	ReadyBitWaits
+	WriteQueueStalls
+	CoalescedWrites
+	CoalescedCounters
+	ReadForwards
+	ReadQueueFull
+	StopLossCounterWrites
+
+	// Core and software events.
+	BackpressureStalls
+	Transactions
+	PersistBarriers
+	Clwbs
+	CCWBs
+
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	DataBytesWritten:      "nvm.data_bytes_written",
+	CounterBytesWritten:   "nvm.counter_bytes_written",
+	BytesRead:             "nvm.bytes_read",
+	DataWrites:            "nvm.data_writes",
+	CounterWrites:         "nvm.counter_writes",
+	Reads:                 "nvm.reads",
+	L1Hits:                "l1.hits",
+	L1Misses:              "l1.misses",
+	L2Hits:                "l2.hits",
+	L2Misses:              "l2.misses",
+	CounterCacheHits:      "ctrcache.hits",
+	CounterCacheMiss:      "ctrcache.misses",
+	CounterCacheWB:        "ctrcache.writebacks",
+	CAWrites:              "mc.counter_atomic_writes",
+	NonCAWrites:           "mc.regular_writes",
+	ReadyBitWaits:         "mc.ready_bit_waits",
+	WriteQueueStalls:      "mc.write_queue_full_stalls",
+	CoalescedWrites:       "mc.coalesced_writes",
+	CoalescedCounters:     "mc.coalesced_counter_writes",
+	ReadForwards:          "mc.read_forwards",
+	ReadQueueFull:         "mc.read_queue_full",
+	StopLossCounterWrites: "mc.stoploss_counter_writes",
+	BackpressureStalls:    "core.backpressure_stalls",
+	Transactions:          "sw.transactions",
+	PersistBarriers:       "sw.persist_barriers",
+	Clwbs:                 "sw.clwbs",
+	CCWBs:                 "sw.counter_cache_writebacks",
+}
+
+// String returns the counter's name.
+func (c Counter) String() string { return counterNames[c] }
+
+// Bucket names one accumulated-time bucket.
+type Bucket uint8
+
+// Time buckets.
+const (
+	FenceWait Bucket = iota // total time cores spent blocked in sfence
+
+	numBuckets
+)
+
+var bucketNames = [numBuckets]string{
+	FenceWait: "core.fence_wait",
+}
+
+// String returns the bucket's name.
+func (b Bucket) String() string { return bucketNames[b] }
+
+// Dist names one latency distribution.
+type Dist uint8
+
+// Latency distributions.
+const (
+	NVMReadLatency  Dist = iota // device read, request to data on the bus
+	NVMWriteLatency             // device write, request to array write done
+	AcceptDelay                 // data write, arrival to queue acceptance
+	CtrAcceptDelay              // counter write, arrival to queue acceptance
+	FenceWaitEach               // one sfence's blocked time
+
+	numDists
+)
+
+var distNames = [numDists]string{
+	NVMReadLatency:  "nvm.read_latency",
+	NVMWriteLatency: "nvm.write_latency",
+	AcceptDelay:     "mc.accept_delay",
+	CtrAcceptDelay:  "mc.ctr_accept_delay",
+	FenceWaitEach:   "core.fence_wait_each",
+}
+
+// String returns the distribution's name.
+func (d Dist) String() string { return distNames[d] }
+
+// The seen masks hold one bit per counter and bucket.
+var (
+	_ [64 - numCounters]struct{}
+	_ [64 - numBuckets]struct{}
+)
+
+// Stats aggregates all measurements of one simulation run. A counter or
+// time bucket is listed once it has been bumped, even by zero; a latency
+// distribution once it holds a sample.
 type Stats struct {
-	counters map[string]uint64
-	times    map[string]sim.Time
-	lat      map[string]*Latency
+	counters    [numCounters]uint64
+	times       [numBuckets]sim.Time
+	lat         [numDists]Latency
+	counterSeen uint64 // bit c: counter c was bumped
+	timeSeen    uint64 // bit b: bucket b was bumped
 }
 
 // New returns an empty Stats.
-func New() *Stats {
-	return &Stats{
-		counters: make(map[string]uint64),
-		times:    make(map[string]sim.Time),
-		lat:      make(map[string]*Latency),
-	}
+func New() *Stats { return &Stats{} }
+
+// Inc adds delta to the counter.
+func (s *Stats) Inc(c Counter, delta uint64) {
+	s.counters[c] += delta
+	s.counterSeen |= 1 << c
 }
 
-// Well-known counter names used across the simulator. Keeping them in one
-// place prevents typo-divergence between producers and the harness.
-const (
-	// Memory traffic.
-	DataBytesWritten    = "nvm.data_bytes_written"
-	CounterBytesWritten = "nvm.counter_bytes_written"
-	BytesRead           = "nvm.bytes_read"
-	DataWrites          = "nvm.data_writes"
-	CounterWrites       = "nvm.counter_writes"
-	Reads               = "nvm.reads"
+// Count returns the counter (zero if never incremented).
+func (s *Stats) Count(c Counter) uint64 { return s.counters[c] }
 
-	// Caches.
-	L1Hits           = "l1.hits"
-	L1Misses         = "l1.misses"
-	L2Hits           = "l2.hits"
-	L2Misses         = "l2.misses"
-	CounterCacheHits = "ctrcache.hits"
-	CounterCacheMiss = "ctrcache.misses"
-	CounterCacheWB   = "ctrcache.writebacks"
-
-	// Controller behaviour.
-	CAWrites          = "mc.counter_atomic_writes"
-	NonCAWrites       = "mc.regular_writes"
-	ReadyBitWaits     = "mc.ready_bit_waits"
-	WriteQueueStalls  = "mc.write_queue_full_stalls"
-	CoalescedWrites   = "mc.coalesced_writes"
-	CoalescedCounters = "mc.coalesced_counter_writes"
-
-	// Software events.
-	Transactions    = "sw.transactions"
-	PersistBarriers = "sw.persist_barriers"
-	Clwbs           = "sw.clwbs"
-	CCWBs           = "sw.counter_cache_writebacks"
-)
-
-// Inc adds delta to the named counter.
-func (s *Stats) Inc(name string, delta uint64) { s.counters[name] += delta }
-
-// Count returns the named counter (zero if never incremented).
-func (s *Stats) Count(name string) uint64 { return s.counters[name] }
-
-// AddTime accumulates simulated time into a named bucket (e.g. stall time).
-func (s *Stats) AddTime(name string, d sim.Time) { s.times[name] += d }
-
-// Time returns the named accumulated time.
-func (s *Stats) Time(name string) sim.Time { return s.times[name] }
-
-// Observe records one latency sample into the named distribution.
-func (s *Stats) Observe(name string, d sim.Time) {
-	l, ok := s.lat[name]
-	if !ok {
-		l = &Latency{}
-		s.lat[name] = l
-	}
-	l.add(d)
+// AddTime accumulates simulated time into a bucket (e.g. stall time).
+func (s *Stats) AddTime(b Bucket, d sim.Time) {
+	s.times[b] += d
+	s.timeSeen |= 1 << b
 }
 
-// Latency returns the named latency distribution, or nil if no samples were
-// recorded.
-func (s *Stats) Latency(name string) *Latency { return s.lat[name] }
+// Time returns the bucket's accumulated time.
+func (s *Stats) Time(b Bucket) sim.Time { return s.times[b] }
+
+// Observe records one latency sample into the distribution.
+func (s *Stats) Observe(d Dist, v sim.Time) { s.lat[d].add(v) }
+
+// Latency returns the distribution, or nil if no samples were recorded.
+func (s *Stats) Latency(d Dist) *Latency {
+	if s.lat[d].n == 0 {
+		return nil
+	}
+	return &s.lat[d]
+}
 
 // HitRate returns hits/(hits+misses) for a pair of counters, or 0 when no
 // accesses were recorded.
-func (s *Stats) HitRate(hits, misses string) float64 {
+func (s *Stats) HitRate(hits, misses Counter) float64 {
 	h, m := s.counters[hits], s.counters[misses]
 	if h+m == 0 {
 		return 0
@@ -109,46 +202,50 @@ func (s *Stats) TotalBytesWritten() uint64 {
 // Merge adds every measurement of other into s. Latency distributions merge
 // by sample aggregation.
 func (s *Stats) Merge(other *Stats) {
-	for k, v := range other.counters {
-		s.counters[k] += v
+	for c, v := range other.counters {
+		s.counters[c] += v
 	}
-	for k, v := range other.times {
-		s.times[k] += v
+	for b, v := range other.times {
+		s.times[b] += v
 	}
-	for k, v := range other.lat {
-		l, ok := s.lat[k]
-		if !ok {
-			l = &Latency{}
-			s.lat[k] = l
-		}
-		l.merge(v)
+	for d := range other.lat {
+		s.lat[d].merge(&other.lat[d])
 	}
+	s.counterSeen |= other.counterSeen
+	s.timeSeen |= other.timeSeen
 }
 
-// Counters returns a copy of all event counters by name.
+// Counters returns a copy of all bumped event counters by name.
 func (s *Stats) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v
+	out := make(map[string]uint64)
+	for c, v := range s.counters {
+		if s.counterSeen&(1<<c) != 0 {
+			out[counterNames[c]] = v
+		}
 	}
 	return out
 }
 
-// Times returns a copy of all accumulated time buckets by name.
+// Times returns a copy of all bumped time buckets by name.
 func (s *Stats) Times() map[string]sim.Time {
-	out := make(map[string]sim.Time, len(s.times))
-	for k, v := range s.times {
-		out[k] = v
+	out := make(map[string]sim.Time)
+	for b, v := range s.times {
+		if s.timeSeen&(1<<b) != 0 {
+			out[bucketNames[b]] = v
+		}
 	}
 	return out
 }
 
-// Latencies returns the latency distributions by name. The *Latency values
-// are shared with the Stats and must be treated as read-only.
+// Latencies returns the sampled latency distributions by name. The
+// *Latency values are shared with the Stats and must be treated as
+// read-only.
 func (s *Stats) Latencies() map[string]*Latency {
-	out := make(map[string]*Latency, len(s.lat))
-	for k, v := range s.lat {
-		out[k] = v
+	out := make(map[string]*Latency)
+	for d := range s.lat {
+		if s.lat[d].n != 0 {
+			out[distNames[d]] = &s.lat[d]
+		}
 	}
 	return out
 }
@@ -156,35 +253,33 @@ func (s *Stats) Latencies() map[string]*Latency {
 // String renders all measurements sorted by name, for logs and the CLI.
 func (s *Stats) String() string {
 	var b strings.Builder
-	names := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		names = append(names, k)
+	counters := s.Counters()
+	for _, k := range sortedKeys(counters) {
+		fmt.Fprintf(&b, "%-40s %12d\n", k, counters[k])
 	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-40s %12d\n", k, s.counters[k])
+	times := s.Times()
+	for _, k := range sortedKeys(times) {
+		fmt.Fprintf(&b, "%-40s %12.1f ns\n", k, times[k].Nanoseconds())
 	}
-	names = names[:0]
-	for k := range s.times {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-40s %12.1f ns\n", k, s.times[k].Nanoseconds())
-	}
-	names = names[:0]
-	for k := range s.lat {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		l := s.lat[k]
+	lats := s.Latencies()
+	for _, k := range sortedKeys(lats) {
+		l := lats[k]
 		fmt.Fprintf(&b, "%-40s n=%d avg=%.1fns min=%.1fns p50=%.1fns p95=%.1fns p99=%.1fns max=%.1fns\n",
 			k, l.Count(), l.Mean().Nanoseconds(), l.Min().Nanoseconds(),
 			l.Quantile(0.50).Nanoseconds(), l.Quantile(0.95).Nanoseconds(),
 			l.Quantile(0.99).Nanoseconds(), l.Max().Nanoseconds())
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's names in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // histBuckets is the fixed size of the log₂ latency histogram: bucket i

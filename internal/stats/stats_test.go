@@ -22,9 +22,9 @@ func TestCounters(t *testing.T) {
 
 func TestTimes(t *testing.T) {
 	s := New()
-	s.AddTime("stall", 100*sim.Nanosecond)
-	s.AddTime("stall", 50*sim.Nanosecond)
-	if got := s.Time("stall"); got != 150*sim.Nanosecond {
+	s.AddTime(FenceWait, 100*sim.Nanosecond)
+	s.AddTime(FenceWait, 50*sim.Nanosecond)
+	if got := s.Time(FenceWait); got != 150*sim.Nanosecond {
 		t.Fatalf("time = %v", got)
 	}
 }
@@ -43,13 +43,13 @@ func TestHitRate(t *testing.T) {
 
 func TestLatencyDistribution(t *testing.T) {
 	s := New()
-	if s.Latency("x") != nil {
+	if s.Latency(AcceptDelay) != nil {
 		t.Fatal("nonexistent latency non-nil")
 	}
 	for _, d := range []sim.Time{10, 20, 30} {
-		s.Observe("x", d)
+		s.Observe(AcceptDelay, d)
 	}
-	l := s.Latency("x")
+	l := s.Latency(AcceptDelay)
 	if l.Count() != 3 || l.Mean() != 20 || l.Min() != 10 || l.Max() != 30 || l.Sum() != 60 {
 		t.Fatalf("latency = n%d mean%d min%d max%d sum%d", l.Count(), l.Mean(), l.Min(), l.Max(), l.Sum())
 	}
@@ -76,37 +76,106 @@ func TestMerge(t *testing.T) {
 	a.Inc(Reads, 5)
 	b.Inc(Reads, 7)
 	b.Inc(DataWrites, 2)
-	a.AddTime("stall", 10)
-	b.AddTime("stall", 20)
-	a.Observe("lat", 100)
-	b.Observe("lat", 300)
-	b.Observe("other", 50)
+	b.Inc(ReadyBitWaits, 0)
+	a.AddTime(FenceWait, 10)
+	b.AddTime(FenceWait, 20)
+	a.Observe(AcceptDelay, 100)
+	b.Observe(AcceptDelay, 300)
+	b.Observe(FenceWaitEach, 50)
 	a.Merge(b)
 	if a.Count(Reads) != 12 || a.Count(DataWrites) != 2 {
 		t.Fatalf("merged counters wrong: %d %d", a.Count(Reads), a.Count(DataWrites))
 	}
-	if a.Time("stall") != 30 {
-		t.Fatalf("merged time = %d", a.Time("stall"))
+	if a.Time(FenceWait) != 30 {
+		t.Fatalf("merged time = %d", a.Time(FenceWait))
 	}
-	l := a.Latency("lat")
+	l := a.Latency(AcceptDelay)
 	if l.Count() != 2 || l.Min() != 100 || l.Max() != 300 {
 		t.Fatalf("merged latency wrong")
 	}
-	if a.Latency("other").Count() != 1 {
+	if a.Latency(FenceWaitEach).Count() != 1 {
 		t.Fatal("merge did not copy new distribution")
+	}
+	// Merge lists what either side listed, across every slot, and
+	// nothing else.
+	want := map[string]uint64{Reads.String(): 12, DataWrites.String(): 2, ReadyBitWaits.String(): 0}
+	got := a.Counters()
+	if len(got) != len(want) {
+		t.Fatalf("merged Counters() = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if gv, ok := got[k]; !ok || gv != v {
+			t.Fatalf("merged Counters() = %v, want %v", got, want)
+		}
+	}
+	if len(a.Latencies()) != 2 || len(a.Times()) != 1 {
+		t.Fatalf("merged %d latencies and %d times, want 2 and 1", len(a.Latencies()), len(a.Times()))
+	}
+}
+
+// TestZeroBumpListed pins that a name bumped only by zero is listed, as
+// the name of a counter or bucket the run touched, while names never
+// bumped are not.
+func TestZeroBumpListed(t *testing.T) {
+	s := New()
+	s.Inc(WriteQueueStalls, 0)
+	s.AddTime(FenceWait, 0)
+	c := s.Counters()
+	if v, ok := c[WriteQueueStalls.String()]; !ok || v != 0 || len(c) != 1 {
+		t.Fatalf("Counters() = %v, want only %s = 0", c, WriteQueueStalls)
+	}
+	if tm := s.Times(); len(tm) != 1 {
+		t.Fatalf("Times() = %v, want only %s", tm, FenceWait)
+	}
+	if len(s.Latencies()) != 0 {
+		t.Fatal("Latencies() lists a distribution with no samples")
+	}
+	if !strings.Contains(s.String(), WriteQueueStalls.String()) {
+		t.Fatalf("String() misses the zero bump:\n%s", s)
+	}
+}
+
+// TestNamesDistinct requires every slot to carry its own name: two
+// slots sharing one would merge in a manifest.
+func TestNamesDistinct(t *testing.T) {
+	seen := map[string]bool{}
+	var names []string
+	for c := Counter(0); c < numCounters; c++ {
+		names = append(names, c.String())
+	}
+	for b := Bucket(0); b < numBuckets; b++ {
+		names = append(names, b.String())
+	}
+	for d := Dist(0); d < numDists; d++ {
+		names = append(names, d.String())
+	}
+	for _, n := range names {
+		if n == "" || seen[n] {
+			t.Fatalf("name %q empty or used twice", n)
+		}
+		seen[n] = true
 	}
 }
 
 func TestString(t *testing.T) {
 	s := New()
 	s.Inc(Reads, 1)
-	s.AddTime("stall", 1500)
-	s.Observe("lat", 42)
-	out := s.String()
-	for _, want := range []string{Reads, "stall", "lat"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("String() missing %q:\n%s", want, out)
-		}
+	s.Inc(CCWBs, 2)
+	s.Inc(L1Hits, 3)
+	s.Inc(BackpressureStalls, 4)
+	s.AddTime(FenceWait, 1500)
+	s.Observe(NVMWriteLatency, 42)
+	s.Observe(AcceptDelay, 7)
+	// Counters, then times, then latencies, each sorted by name rather
+	// than by slot.
+	var names []string
+	for _, l := range strings.Split(strings.TrimSuffix(s.String(), "\n"), "\n") {
+		names = append(names, strings.Fields(l)[0])
+	}
+	want := []string{"core.backpressure_stalls", "l1.hits", "nvm.reads", "sw.counter_cache_writebacks",
+		"core.fence_wait", "mc.accept_delay", "nvm.write_latency"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("String() names = %v, want %v", names, want)
 	}
 }
 
@@ -116,22 +185,22 @@ func TestPropertyMergeEquivalence(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		whole, a, b := New(), New(), New()
 		for _, x := range xs {
-			a.Inc("c", uint64(x))
-			a.Observe("l", sim.Time(x))
-			whole.Inc("c", uint64(x))
-			whole.Observe("l", sim.Time(x))
+			a.Inc(Clwbs, uint64(x))
+			a.Observe(FenceWaitEach, sim.Time(x))
+			whole.Inc(Clwbs, uint64(x))
+			whole.Observe(FenceWaitEach, sim.Time(x))
 		}
 		for _, y := range ys {
-			b.Inc("c", uint64(y))
-			b.Observe("l", sim.Time(y))
-			whole.Inc("c", uint64(y))
-			whole.Observe("l", sim.Time(y))
+			b.Inc(Clwbs, uint64(y))
+			b.Observe(FenceWaitEach, sim.Time(y))
+			whole.Inc(Clwbs, uint64(y))
+			whole.Observe(FenceWaitEach, sim.Time(y))
 		}
 		a.Merge(b)
-		if a.Count("c") != whole.Count("c") {
+		if a.Count(Clwbs) != whole.Count(Clwbs) {
 			return false
 		}
-		la, lw := a.Latency("l"), whole.Latency("l")
+		la, lw := a.Latency(FenceWaitEach), whole.Latency(FenceWaitEach)
 		if (la == nil) != (lw == nil) {
 			return false
 		}
@@ -158,9 +227,9 @@ func TestLatencyMinLazyInit(t *testing.T) {
 	}
 	// Same property through the Stats front door.
 	s := New()
-	s.Observe("x", 7)
-	s.Observe("x", 3)
-	if got := s.Latency("x").Min(); got != 3 {
+	s.Observe(NVMReadLatency, 7)
+	s.Observe(NVMReadLatency, 3)
+	if got := s.Latency(NVMReadLatency).Min(); got != 3 {
 		t.Fatalf("observed Min() = %v, want 3", got)
 	}
 }
@@ -247,7 +316,7 @@ func TestHistogramLog2(t *testing.T) {
 
 func TestStringIncludesQuantiles(t *testing.T) {
 	s := New()
-	s.Observe("lat", 100)
+	s.Observe(NVMReadLatency, 100)
 	out := s.String()
 	for _, want := range []string{"p50=", "p95=", "p99="} {
 		if !strings.Contains(out, want) {
@@ -283,16 +352,15 @@ func TestPropertyMergeQuantiles(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the per-event bookkeeping at zero
-// allocations once a name exists: Inc bumps a map slot, Observe adds to
-// the Latency the first sample created.
+// allocations: Inc and AddTime bump an array slot, Observe adds to a
+// Latency held inline.
 func TestSteadyStateAllocs(t *testing.T) {
 	s := New()
-	s.Inc("x", 1)
-	s.Observe("lat", 1)
 	if got := testing.AllocsPerRun(100, func() {
-		s.Inc("x", 1)
-		s.Observe("lat", 3)
+		s.Inc(L1Hits, 1)
+		s.AddTime(FenceWait, 2)
+		s.Observe(AcceptDelay, 3)
 	}); got > 0 {
-		t.Errorf("Inc+Observe allocates %v times, pin 0", got)
+		t.Errorf("Inc+AddTime+Observe allocates %v times, pin 0", got)
 	}
 }

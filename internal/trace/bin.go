@@ -105,10 +105,11 @@ func decodeRecord(b []byte, dst *Op) {
 
 // BinReader is a Source over a byte slice of encoded records. Every
 // record is strict-decoded and structurally validated at construction,
-// so Op decodes unconditionally and Validate returns nil.
+// so Op decodes unconditionally and Check reports no error.
 type BinReader struct {
-	rec []byte
-	n   int
+	rec    []byte
+	n      int
+	txEnds int // TxEnd records, counted by the construction pass
 }
 
 // NewBinReader wraps a record region (no file header) as a Source,
@@ -132,6 +133,7 @@ func NewBinReader(rec []byte) (*BinReader, error) {
 	if err := tx.finish(); err != nil {
 		return nil, err
 	}
+	r.txEnds = tx.ends
 	return r, nil
 }
 
@@ -143,8 +145,9 @@ func (r *BinReader) Op(i int, dst *Op) {
 	decodeRecord(r.rec[i*RecordBytes:(i+1)*RecordBytes], dst)
 }
 
-// Validate reports nil: NewBinReader already validated every record.
-func (r *BinReader) Validate() error { return nil }
+// Check returns the TxEnd count NewBinReader recorded while validating
+// every record, and no error.
+func (r *BinReader) Check() (txEnds int, err error) { return r.txEnds, nil }
 
 // WriteTraces encodes a multi-core trace set to w in the binary file
 // format. Every trace is validated first; a malformed stream must not

@@ -169,8 +169,12 @@ func TestWriteReadTracesFile(t *testing.T) {
 				t.Fatalf("core %d op %d: %+v != %+v", c, i, got.Ops[i], want.Ops[i])
 			}
 		}
-		if err := r.Validate(); err != nil {
-			t.Fatalf("core %d: Validate: %v", c, err)
+		ends, err := r.Check()
+		if err != nil {
+			t.Fatalf("core %d: Check: %v", c, err)
+		}
+		if wantEnds, _ := want.Check(); ends != wantEnds {
+			t.Fatalf("core %d: Check counts %d TxEnds, the trace %d", c, ends, wantEnds)
 		}
 	}
 }
@@ -270,8 +274,8 @@ func TestSourceHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []Source{tr, rs[0]} {
-		if got := CountKind(s, TxEnd); got != 1 {
-			t.Errorf("CountKind(TxEnd) = %d, want 1", got)
+		if got, err := s.Check(); got != 1 || err != nil {
+			t.Errorf("Check() = %d, %v, want 1 TxEnd", got, err)
 		}
 		if got, want := TransactionsOf(s), tr.Transactions(); got != want {
 			t.Errorf("TransactionsOf = %d, want %d", got, want)

@@ -16,10 +16,10 @@ type Source interface {
 	Len() int
 	// Op copies operation i into dst. i must be in [0, Len()).
 	Op(i int, dst *Op)
-	// Validate checks whole-stream structural sanity (see
-	// Trace.Validate). Implementations that validate at construction
-	// time may return nil unconditionally.
-	Validate() error
+	// Check validates the whole stream (see Trace.Validate) and returns
+	// how many TxEnd ops it holds, in one pass. Implementations that
+	// validate at construction return what they counted then.
+	Check() (txEnds int, err error)
 }
 
 // Materialize copies a source into an in-memory Trace. Consumers that
@@ -32,20 +32,6 @@ func Materialize(s Source) *Trace {
 		s.Op(i, &t.Ops[i])
 	}
 	return t
-}
-
-// CountKind returns how many ops of kind k the source contains. Replay
-// uses it to pre-size per-transaction history exactly.
-func CountKind(s Source, k Kind) int {
-	var op Op
-	n, count := s.Len(), 0
-	for i := 0; i < n; i++ {
-		s.Op(i, &op)
-		if op.Kind == k {
-			count++
-		}
-	}
-	return count
 }
 
 // CountsOf returns per-kind op counts for a source (Trace.Counts for

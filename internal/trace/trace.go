@@ -80,7 +80,7 @@ type Op struct {
 // output of the persist runtime and means the trace was corrupted or
 // mis-assembled, so downstream consumers (replay, the crash harness, the
 // internal/check linter) must not trust it.
-func (op Op) Validate() error {
+func (op *Op) Validate() error {
 	var zero mem.Line
 	switch op.Kind {
 	case Read:
@@ -175,21 +175,30 @@ func (t *Trace) Transactions() int {
 // downstream diagnostics are positions in Ops and are monotone by
 // construction.
 func (t *Trace) Validate() error {
+	_, err := t.Check()
+	return err
+}
+
+// Check is Validate that also returns the number of TxEnd ops, counted
+// in the same pass; it satisfies Source.
+func (t *Trace) Check() (txEnds int, err error) {
 	var tx txTracker
 	for i := range t.Ops {
 		if err := tx.op(i, &t.Ops[i]); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return tx.finish()
+	return tx.ends, tx.finish()
 }
 
-// txTracker is the shared streaming validator behind Trace.Validate and
+// txTracker is the shared streaming validator behind Trace.Check and
 // NewBinReader: per-op structural checks plus transaction nesting in a
 // single pass, so both the in-memory and the binary ingestion paths
-// enforce the same invariants with the same diagnostics.
+// enforce the same invariants with the same diagnostics. It counts the
+// TxEnds it passes, which replay sizes its per-transaction history by.
 type txTracker struct {
 	depth int
+	ends  int
 }
 
 func (t *txTracker) op(i int, op *Op) error {
@@ -207,6 +216,7 @@ func (t *txTracker) op(i int, op *Op) error {
 		if t.depth < 0 {
 			return fmt.Errorf("trace: TxEnd without TxBegin at op %d", i)
 		}
+		t.ends++
 	}
 	return nil
 }
