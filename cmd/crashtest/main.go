@@ -62,7 +62,7 @@ import (
 func main() {
 	design := flag.String("design", "sca", "registered machine: "+strings.Join(machine.Names(), "|"))
 	specPath := flag.String("spec", "", "load a declarative machine spec from this JSON file (overrides -design/-cores)")
-	workload := flag.String("workload", "all", "workload or 'all': "+strings.Join(append(workloads.Names(), "linkedlist"), "|"))
+	workload := flag.String("workload", "all", "workload or 'all': "+strings.Join(workloads.ExtendedNames(), "|"))
 	points := flag.Int("points", 32, "crash points per sweep")
 	legacy := flag.Bool("legacy", false, "use pre-paper (legacy) persistency primitives")
 	cores := flag.Int("cores", 1, "number of cores")
@@ -146,6 +146,10 @@ Flags:
 	}
 
 	p := workloads.Params{Seed: *seed, Items: *items, Ops: *ops, Legacy: *legacy}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *jobs > 0 {
 		session.SetWorkers(*jobs)
 	} else {
@@ -256,6 +260,10 @@ func replaySchedule(path string) int {
 	p := workloads.Params{
 		Seed: f.Seed, Items: f.Items, Ops: f.Ops, OpsPerTx: f.OpsPerTx,
 		Legacy: f.Legacy, TxMode: mode,
+	}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "crashtest: %s: %v\n", path, err)
+		return 2
 	}
 	tr := crash.BuildTraces(w, p, cores)[f.Schedule.Core]
 	if f.Mutant != "" {

@@ -123,6 +123,10 @@ func main() {
 	params := workloads.Params{
 		Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx,
 	}
+	if err := params.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var res core.Result
 	switch {
 	case *replayTrace != "":

@@ -2,15 +2,10 @@
 // persistency-protocol bugs, with three independent halves:
 //
 // Source analysis (default): runs the internal/check/analyzers suite —
-// protocol-shape checks (rawspacewrite, ccwbfence), the CFG-based
-// persist-ordering check (persistorder), and the determinism suite
-// guarding the simulator's byte-reproducibility (wallclock,
-// unseededrand, maprange) — over package directories and prints findings
-// in the familiar file:line:col form. Naming the interprocedural
-// lockorder analyzer with -analyzers adds a whole-program pass over the
-// concurrency layer and the packages it calls; "-analyzers all"
-// deliberately stays per-package so the default CI invocation needs no
-// call graph.
+// rawspacewrite (stores that bypass the trace), persistorder (writebacks
+// a control-flow path leaves unordered) and maprange (map order leaking
+// into output) — over the non-test Go files of package directories and
+// prints findings in the familiar file:line:col form.
 //
 // Trace verification (-verify): builds every built-in workload trace in
 // both transaction modes and statically enumerates every crash-point
@@ -32,7 +27,7 @@
 //
 // Usage:
 //
-//	persistcheck [-tests] [-list] [-analyzers names] [dir ...]
+//	persistcheck [-list] [-analyzers names] [dir ...]
 //	persistcheck -verify [-items N] [-ops N] [-opspertx N] [-seed N]
 //	             [-cex-dir dir] [-spec machine.json]
 //	persistcheck -enginecheck [-cex-dir dir] [spec.json ...]
@@ -76,7 +71,7 @@ import (
 
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: persistcheck [-tests] [-list] [-analyzers names] [dir ...]\n"+
+		"usage: persistcheck [-list] [-analyzers names] [dir ...]\n"+
 			"       persistcheck -verify [-items N] [-ops N] [-opspertx N] [-seed N] [-cex-dir dir] [-spec machine.json]\n"+
 			"       persistcheck -enginecheck [-cex-dir dir] [spec.json ...]\n"+
 			"       persistcheck -mutants\n\n"+
@@ -85,7 +80,6 @@ func usage() {
 }
 
 func main() {
-	tests := flag.Bool("tests", false, "also check _test.go files")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	names := flag.String("analyzers", "all", "comma-separated analyzer subset to run")
 	doVerify := flag.Bool("verify", false, "statically verify all built-in workload traces instead of analyzing source")
@@ -116,6 +110,11 @@ func main() {
 		os.Exit(runEngineCheck(flag.Args(), *cexDir))
 	}
 	if *doVerify {
+		p := workloads.Params{Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx}
+		if err := p.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+			os.Exit(2)
+		}
 		if *specPath != "" {
 			r, cfg, err := loadSpec(*specPath)
 			if err != nil {
@@ -125,38 +124,17 @@ func main() {
 			fmt.Printf("machine spec %s: engine %s, backend %s, %d core(s), design %v — OK\n",
 				*specPath, r.Engine, r.Backend, cfg.NumCores, cfg.Design)
 		}
-		os.Exit(runVerify(workloads.Params{
-			Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx,
-		}, *cexDir))
+		os.Exit(runVerify(p, *cexDir))
 	}
 	if *specPath != "" {
 		fmt.Fprintln(os.Stderr, "persistcheck: -spec requires -verify")
 		os.Exit(2)
 	}
 
-	// lockorder, the call-graph analyzer, runs only when named
-	// explicitly; every other name goes to the per-package catalog, so
-	// "-analyzers all" stays call-graph-free and unknown names still
-	// fail fast.
-	lockOrder := false
-	var rest []string
-	for _, n := range strings.Split(*names, ",") {
-		switch n = strings.TrimSpace(n); n {
-		case "":
-		case "lockorder":
-			lockOrder = true
-		default:
-			rest = append(rest, n)
-		}
-	}
-	var as []*analyzers.Analyzer
-	if len(rest) > 0 {
-		var err error
-		as, err = analyzers.ByName(strings.Join(rest, ","))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-			os.Exit(2)
-		}
+	as, err := analyzers.ByName(*names)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+		os.Exit(2)
 	}
 	roots := flag.Args()
 	if len(roots) == 0 {
@@ -177,7 +155,7 @@ func main() {
 			os.Exit(2)
 		}
 		for _, dir := range dirs {
-			fs, err := analyzers.RunDir(dir, as, *tests)
+			fs, err := analyzers.RunDir(dir, as)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 				os.Exit(2)
@@ -187,14 +165,6 @@ func main() {
 				findings++
 			}
 		}
-	}
-	if lockOrder {
-		n, err := runLockOrder(roots)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-			os.Exit(2)
-		}
-		findings += n
 	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "persistcheck: %d finding(s)\n", findings)
@@ -209,8 +179,6 @@ func printCatalog() {
 	for _, a := range analyzers.All() {
 		fmt.Printf("  %-14s %s\n", a.Name, a.Doc)
 	}
-	fmt.Println("\nInterprocedural analyzers (run only when named with -analyzers):")
-	fmt.Printf("  %-14s %s\n", "lockorder", analyzers.LockOrderDoc)
 	fmt.Println("\nTrace lint rules (traceinfo -check):")
 	for _, d := range check.RuleDocs() {
 		fmt.Printf("  %s\n", d)
@@ -223,40 +191,6 @@ func printCatalog() {
 	for _, r := range enginecheck.Rules() {
 		fmt.Printf("  %-4s %s\n", r.ID, r.Doc)
 	}
-}
-
-// runLockOrder runs lockorder over one call graph shared by every root.
-// Each root is narrowed to the interprocedural package scope; a root
-// with no in-scope packages (an explicitly named fixture or scratch
-// directory) is taken whole instead.
-func runLockOrder(roots []string) (int, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	for _, root := range roots {
-		scoped, err := analyzers.InterDirs(root)
-		if err != nil {
-			return 0, err
-		}
-		if len(scoped) == 0 {
-			if scoped, err = analyzers.Walk(root); err != nil {
-				return 0, err
-			}
-		}
-		for _, d := range scoped {
-			if !seen[d] {
-				seen[d] = true
-				dirs = append(dirs, d)
-			}
-		}
-	}
-	fs, err := analyzers.LockOrder(dirs)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range fs {
-		fmt.Printf("%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
-	}
-	return len(fs), nil
 }
 
 // runEngineCheck contract-checks every registry engine under its design

@@ -42,7 +42,7 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "btree", "workload: "+strings.Join(workloads.Names(), "|"))
+	workload := flag.String("workload", "btree", "workload: "+strings.Join(workloads.ExtendedNames(), "|"))
 	items := flag.Int("items", 1024, "initial structure population")
 	ops := flag.Int("ops", 128, "measured operations")
 	opsPerTx := flag.Int("opspertx", 1, "operations per transaction")
@@ -106,6 +106,10 @@ func main() {
 	}
 
 	p := workloads.Params{Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	rt := persist.NewRuntime(persist.ArenaFor(0, 64<<20))
 	rt.SetLegacy(*legacy)
 	rt.SetTxMode(txMode)

@@ -1,14 +1,17 @@
 // Package analyzers hosts persistcheck's source-level checks: vet-style
-// analyzers that flag Go code whose *shape* can violate the persistency
-// protocol, complementing internal/check's trace linter (which needs a
-// recorded execution to inspect).
+// analyzers for what only the source shows, complementing the checks
+// that judge executed runs (internal/check's trace linter, the goldens,
+// the race detector). rawspacewrite flags stores that bypass the trace,
+// which no runtime check can see; persistorder flags writebacks that a
+// control-flow path leaves unordered, in branches no generated trace
+// exercises; maprange flags map order leaking into output, including
+// CLI output no golden reads.
 //
 // The Analyzer/Pass/Diagnostic trio deliberately mirrors the core of
-// golang.org/x/tools/go/analysis — this build environment is offline, so
-// the dependency cannot be pulled; keeping the upstream field shapes
-// means each check's Run function ports to a real multichecker unchanged
-// once x/tools is available. Only the syntactic subset is provided: no
-// type information, no Facts, no SuggestedFixes.
+// golang.org/x/tools/go/analysis, so each check's Run function ports to a
+// real multichecker unchanged; the module is stdlib-only, so only the
+// syntactic subset is provided: no type information, no Facts, no
+// SuggestedFixes.
 package analyzers
 
 import (
@@ -34,8 +37,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	// Dir is the package directory being analyzed.
-	Dir string
 	// Report records one finding.
 	Report func(Diagnostic)
 }
@@ -53,14 +54,10 @@ type Finding struct {
 	Message  string
 }
 
-// All returns the shipped analyzers: the two protocol-shape checks from
-// the original suite, the CFG-based persist-ordering check, and the
-// determinism suite guarding the simulator's byte-reproducibility.
+// All returns the shipped analyzers: the raw-image write check, the
+// CFG-based persist-ordering check, and the map-order check.
 func All() []*Analyzer {
-	return []*Analyzer{
-		RawSpaceWrite, CCWBFence, PersistOrder,
-		WallClock, UnseededRand, MapRange,
-	}
+	return []*Analyzer{RawSpaceWrite, PersistOrder, MapRange}
 }
 
 // ByName resolves a comma-separated analyzer list ("" or "all" selects

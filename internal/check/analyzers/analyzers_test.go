@@ -17,7 +17,7 @@ func runSnippet(t *testing.T, src string) []Finding {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	fs, err := RunFiles(fset, []*ast.File{f}, ".", All())
+	fs, err := RunFiles(fset, []*ast.File{f}, All())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestSnippetTable(t *testing.T) {
 		{
 			name: "ccwb with no fence",
 			src:  hdr + "func f(rt R) { rt.CCWB(0, 64) }",
-			want: []string{"ccwbfence"},
+			want: []string{"persistorder"},
 		},
 		{
 			name: "ccwb then fence is clean",
@@ -71,7 +71,7 @@ func TestSnippetTable(t *testing.T) {
 		{
 			name: "fence before ccwb does not order it",
 			src:  hdr + "func f(rt R) { rt.Fence(); rt.CCWB(0, 64) }",
-			want: []string{"ccwbfence"},
+			want: []string{"persistorder"},
 		},
 		{
 			name: "ccwb in loop, fence after loop is clean",
@@ -86,17 +86,17 @@ func TestSnippetTable(t *testing.T) {
 		{
 			name: "second ccwb after the only fence",
 			src:  hdr + "func f(rt R) { rt.CCWB(0, 64); rt.Fence(); rt.CCWB(64, 64) }",
-			want: []string{"ccwbfence"},
+			want: []string{"persistorder"},
 		},
 		{
 			name: "unfenced ccwb in one function, fence in another",
 			src:  hdr + "func f(rt R) { rt.CCWB(0, 64) }\nfunc g(rt R) { rt.Fence() }",
-			want: []string{"ccwbfence"},
+			want: []string{"persistorder"},
 		},
 		{
 			name: "both violations in one function",
 			src:  hdr + "func f(rt R) { rt.Space().WriteUint64(0, 1); rt.CCWB(0, 64) }",
-			want: []string{"rawspacewrite", "ccwbfence"},
+			want: []string{"rawspacewrite", "persistorder"},
 		},
 	}
 	for _, tc := range cases {
@@ -116,14 +116,17 @@ func TestSnippetTable(t *testing.T) {
 // The seeded fixture must draw exactly its marked findings.
 func TestSeededFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "badworkload")
-	fs, err := RunDir(dir, All(), false)
+	fs, err := RunDir(dir, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"rawspacewrite": 1, "ccwbfence": 2}
+	want := map[string]int{"rawspacewrite": 1, "persistorder": 2}
 	got := map[string]int{}
 	for _, f := range fs {
 		got[f.Analyzer]++
+		if f.Analyzer == "persistorder" && !strings.HasPrefix(f.Message, "CCWB emission") {
+			t.Errorf("persistorder message %q does not name the CCWB primitive", f.Message)
+		}
 	}
 	for a, n := range want {
 		if got[a] != n {
@@ -147,7 +150,7 @@ func TestRepositoryClean(t *testing.T) {
 		t.Fatalf("walk found only %d package dirs — wrong root?", len(dirs))
 	}
 	for _, dir := range dirs {
-		fs, err := RunDir(dir, All(), false)
+		fs, err := RunDir(dir, All())
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}

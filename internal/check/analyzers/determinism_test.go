@@ -9,45 +9,36 @@ import (
 	"testing"
 )
 
-// runWith parses one snippet and runs a chosen analyzer set, with the
-// package dir controlled so scope-gated analyzers can be exercised.
-func runWith(t *testing.T, src, dir string, as []*Analyzer) []Finding {
+// runWith parses one snippet and runs a chosen analyzer set.
+func runWith(t *testing.T, src string, as []*Analyzer) []Finding {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "snippet.go", src, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	fs, err := RunFiles(fset, []*ast.File{f}, dir, as)
+	fs, err := RunFiles(fset, []*ast.File{f}, as)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return fs
 }
 
-// The sim fixture draws exactly its seeded determinism findings, and the
-// clean file beside it draws none.
+// The maporder fixture draws exactly its two seeded maprange findings,
+// and the clean file beside it draws none.
 func TestDeterminismFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "sim")
-	fs, err := RunDir(dir, All(), false)
+	dir := filepath.Join("testdata", "src", "maporder")
+	fs, err := RunDir(dir, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"wallclock": 2, "unseededrand": 2, "maprange": 2}
-	got := map[string]int{}
 	for _, f := range fs {
-		got[f.Analyzer]++
-		if filepath.Base(f.Pos.Filename) != "nondet.go" {
-			t.Errorf("finding in %s, want all in nondet.go: %+v", f.Pos.Filename, f)
+		if f.Analyzer != "maprange" || filepath.Base(f.Pos.Filename) != "nondet.go" {
+			t.Errorf("want only maprange findings in nondet.go, got %+v", f)
 		}
 	}
-	for a, n := range want {
-		if got[a] != n {
-			t.Errorf("%s: %d findings, want %d: %v", a, got[a], n, fs)
-		}
-	}
-	if len(fs) != 6 {
-		t.Errorf("total findings = %d, want 6: %v", len(fs), fs)
+	if len(fs) != 2 {
+		t.Errorf("total findings = %d, want 2: %v", len(fs), fs)
 	}
 }
 
@@ -55,7 +46,7 @@ func TestDeterminismFixture(t *testing.T) {
 // the fenced variants below them stay clean.
 func TestPersistOrderFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "persistbad")
-	fs, err := RunDir(dir, All(), false)
+	fs, err := RunDir(dir, All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,20 +57,6 @@ func TestPersistOrderFixture(t *testing.T) {
 	}
 	if len(fs) != 3 {
 		t.Errorf("total findings = %d, want 3: %v", len(fs), fs)
-	}
-}
-
-// wallclock and unseededrand fire only in simulation-package
-// directories: CLI front-ends may read the wall clock for progress.
-func TestDeterminismScope(t *testing.T) {
-	const src = "package p\nimport (\"time\"; \"math/rand\")\n" +
-		"func f() int64 { return time.Now().UnixNano() + int64(rand.Intn(8)) }\n"
-	as := []*Analyzer{WallClock, UnseededRand}
-	if fs := runWith(t, src, filepath.Join("internal", "core"), as); len(fs) != 2 {
-		t.Errorf("in internal/core: %d findings, want 2: %v", len(fs), fs)
-	}
-	if fs := runWith(t, src, filepath.Join("cmd", "experiments"), as); len(fs) != 0 {
-		t.Errorf("in cmd/experiments: %d findings, want 0: %v", len(fs), fs)
 	}
 }
 
@@ -151,10 +128,25 @@ func TestPersistOrderSnippets(t *testing.T) {
 			src:  hdr + "func (rt R) Clwb(a A, n int) { rt.tr.Append(trace.Op{Kind: trace.Clwb}) }",
 			want: 0,
 		},
+		{
+			name: "ccwb fenced on one branch only",
+			src:  hdr + "func f(rt R, ok bool) { rt.CCWB(0, 64); if ok { rt.Fence() } }",
+			want: 1,
+		},
+		{
+			name: "early return between ccwb and fence",
+			src:  hdr + "func f(rt R, ok bool) { rt.CCWB(0, 64); if !ok { return }; rt.Fence() }",
+			want: 1,
+		},
+		{
+			name: "emission inside the CCWB primitive itself is exempt",
+			src:  hdr + "func (rt R) CCWB(a A, n int) { rt.tr.Append(trace.Op{Kind: trace.CCWB}); rt.Clwb(a, n) }",
+			want: 0,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := runWith(t, tc.src, ".", []*Analyzer{PersistOrder})
+			fs := runWith(t, tc.src, []*Analyzer{PersistOrder})
 			if len(fs) != tc.want {
 				t.Errorf("findings = %d, want %d: %v", len(fs), tc.want, fs)
 			}
@@ -208,7 +200,7 @@ func TestMapRangeSnippets(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := runWith(t, tc.src, ".", []*Analyzer{MapRange})
+			fs := runWith(t, tc.src, []*Analyzer{MapRange})
 			if len(fs) != tc.want {
 				t.Errorf("findings = %d, want %d: %v", len(fs), tc.want, fs)
 			}
@@ -222,12 +214,12 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("ByName(all) = %d analyzers, err %v", len(all), err)
 	}
-	two, err := ByName("wallclock, persistorder")
+	two, err := ByName("maprange, persistorder")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("ByName subset = %v, err %v", two, err)
 	}
 	names := []string{two[0].Name, two[1].Name}
-	if strings.Join(names, ",") != "persistorder,wallclock" {
+	if strings.Join(names, ",") != "persistorder,maprange" {
 		t.Errorf("subset order = %v, want catalog order", names)
 	}
 	if _, err := ByName("nosuch"); err == nil {
@@ -239,7 +231,7 @@ func TestByName(t *testing.T) {
 // given to be the one reported, on every call.
 func TestByNameFirstUnknown(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		_, err := ByName("foo,bar,wallclock,baz")
+		_, err := ByName("foo,bar,maprange,baz")
 		if err == nil || !strings.Contains(err.Error(), `"foo"`) {
 			t.Fatalf("call %d: ByName error = %v, want unknown \"foo\"", i, err)
 		}

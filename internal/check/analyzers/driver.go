@@ -11,11 +11,10 @@ import (
 	"strings"
 )
 
-// LoadDir parses one directory's Go files. Test files are excluded unless
-// includeTests is set: tests legitimately reach around the runtime (e.g.
-// corrupting the image to exercise validators), and vet-style checks on
-// them would drown real findings.
-func LoadDir(dir string, includeTests bool) (*token.FileSet, []*ast.File, error) {
+// loadDir parses one directory's non-test Go files. Tests legitimately
+// reach around the runtime (e.g. corrupting the image to exercise
+// validators), and vet-style checks on them would drown real findings.
+func loadDir(dir string) (*token.FileSet, []*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -27,7 +26,7 @@ func LoadDir(dir string, includeTests bool) (*token.FileSet, []*ast.File, error)
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -41,23 +40,22 @@ func LoadDir(dir string, includeTests bool) (*token.FileSet, []*ast.File, error)
 
 // RunDir runs the analyzers over one package directory and returns the
 // findings sorted by position.
-func RunDir(dir string, as []*Analyzer, includeTests bool) ([]Finding, error) {
-	fset, files, err := LoadDir(dir, includeTests)
+func RunDir(dir string, as []*Analyzer) ([]Finding, error) {
+	fset, files, err := loadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return RunFiles(fset, files, dir, as)
+	return RunFiles(fset, files, as)
 }
 
 // RunFiles runs the analyzers over already-parsed files.
-func RunFiles(fset *token.FileSet, files []*ast.File, dir string, as []*Analyzer) ([]Finding, error) {
+func RunFiles(fset *token.FileSet, files []*ast.File, as []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, a := range as {
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     fset,
 			Files:    files,
-			Dir:      dir,
 			Report: func(d Diagnostic) {
 				findings = append(findings, Finding{
 					Analyzer: a.Name,
@@ -72,6 +70,23 @@ func RunFiles(fset *token.FileSet, files []*ast.File, dir string, as []*Analyzer
 	}
 	sortFindings(findings)
 	return findings, nil
+}
+
+// sortFindings orders findings by position, then message.
+func sortFindings(findings []Finding) {
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i].Pos, findings[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		return findings[i].Message < findings[j].Message
+	})
 }
 
 // Walk returns root plus every package directory below it that contains

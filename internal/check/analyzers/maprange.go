@@ -9,7 +9,9 @@ import (
 
 // MapRange flags `range` loops over maps whose iteration order leaks
 // into simulated state or output: Go randomizes map order per run, so
-// any observable consumer of the order breaks byte-determinism.
+// any observable consumer of the order breaks byte-determinism. The
+// goldens catch such a leak in the simulation packages; this check also
+// covers the CLI outputs no golden or cmp gate reads.
 //
 // The check is deliberately deny-list shaped. Ranging over a map is fine
 // when the body is order-insensitive — aggregation (`sum += v`), filling

@@ -5,15 +5,15 @@ import (
 	"go/token"
 )
 
-// PersistOrder is the control-flow-sensitive strengthening of ccwbfence,
-// aimed at the persist runtime itself: every path from a Clwb emission —
-// a <x>.Clwb(...) call, or a raw trace append of a Clwb op — to function
-// exit must pass an ordering point (<x>.Fence() or <x>.PersistBarrier()).
-// Unlike ccwbfence's source-order scan, the CFG catches a fence that only
-// covers one branch, or an early return sneaking out between the
-// writeback and its sfence: the unordered clwb may never drain, so the
-// line's durability is a race with the crash (§4.2's persist_barrier
-// contract).
+// PersistOrder checks that every writeback is ordered: every path from
+// a writeback emission — a <x>.Clwb(...) or <x>.CCWB(...) call, or a raw
+// trace append of a Clwb op — to function exit must pass an ordering
+// point (<x>.Fence() or <x>.PersistBarrier()). The CFG catches a fence
+// that only covers one branch, or an early return sneaking out between
+// the writeback and its sfence: the unordered clwb may never drain, so
+// the line's durability is a race with the crash (§4.2's persist_barrier
+// contract), and an unordered counter_cache_writeback loses the second
+// half of the §4.3 protocol.
 //
 // Functions named after the primitives themselves (Clwb, CCWB, Fence,
 // PersistBarrier) are exempt: they define the emission, their callers own
@@ -61,11 +61,11 @@ func checkPersistOrder(pass *Pass, body *ast.BlockStmt) {
 	collect(entry)
 
 	for _, n := range nodes {
-		for _, pos := range clwbEmissions(n) {
+		for _, e := range writebackEmissions(n) {
 			if fenceFreePathToExit(n, exit) {
 				pass.Report(Diagnostic{
-					Pos:     pos,
-					Message: "Clwb emission with a fence-free path to function exit; the writeback may never be ordered",
+					Pos:     e.pos,
+					Message: e.primitive + " emission with a fence-free path to function exit; the writeback may never be ordered",
 				})
 			}
 		}
@@ -121,22 +121,28 @@ func isFenceNode(n *cfgNode) bool {
 	return fence
 }
 
-// clwbEmissions returns the positions of Clwb emissions in the node:
-// <x>.Clwb(...) calls and <x>.Append(trace.Op{Kind: trace.Clwb, ...}).
-func clwbEmissions(n *cfgNode) []token.Pos {
-	var out []token.Pos
+// emission is one writeback in a node and the primitive that issued it.
+type emission struct {
+	pos       token.Pos
+	primitive string
+}
+
+// writebackEmissions returns the writebacks in the node: <x>.Clwb(...)
+// and <x>.CCWB(...) calls, and <x>.Append(trace.Op{Kind: trace.Clwb, ...}).
+func writebackEmissions(n *cfgNode) []emission {
+	var out []emission
 	inspectParts(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		switch calleeName(call) {
-		case "Clwb":
-			out = append(out, call.Pos())
+		switch name := calleeName(call); name {
+		case "Clwb", "CCWB":
+			out = append(out, emission{call.Pos(), name})
 		case "Append":
 			for _, arg := range call.Args {
 				if mentionsClwbKind(arg) {
-					out = append(out, call.Pos())
+					out = append(out, emission{call.Pos(), "Clwb"})
 					break
 				}
 			}

@@ -27,16 +27,16 @@ func corruptDirectly(rt runtime) {
 }
 
 // writebackNeverOrdered issues a counter writeback and returns without
-// any ordering point. ccwbfence must flag it.
+// any ordering point. persistorder must flag it.
 func writebackNeverOrdered(rt runtime) {
-	rt.CCWB(64, 16) // want ccwbfence
+	rt.CCWB(64, 16) // want persistorder
 }
 
 // fenceBeforeNotAfter fences first, then writes back: the writeback is
-// still never ordered. ccwbfence must flag it.
+// still never ordered. persistorder must flag it.
 func fenceBeforeNotAfter(rt runtime) {
 	rt.Fence()
-	rt.CCWB(64, 16) // want ccwbfence
+	rt.CCWB(64, 16) // want persistorder
 }
 
 // readThenProperBarrier is clean: raw reads are fine, and the writeback

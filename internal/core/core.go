@@ -61,6 +61,9 @@ func RunWorkload(o Options) (Result, error) {
 	if o.Spec == nil {
 		return Result{}, fmt.Errorf("core: Options.Spec is nil")
 	}
+	if err := o.Params.Validate(); err != nil {
+		return Result{}, err
+	}
 	w, err := workloads.ByName(o.Workload)
 	if err != nil {
 		return Result{}, err

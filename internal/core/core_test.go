@@ -53,6 +53,16 @@ func TestRunWorkloadUnknown(t *testing.T) {
 	}
 }
 
+// A negative size is an error up front, before any trace is built: a
+// negative OpsPerTx would otherwise never finish generating ops.
+func TestRunWorkloadRejectsNegativeParams(t *testing.T) {
+	for _, p := range []workloads.Params{{Items: -1}, {Ops: -1}, {OpsPerTx: -1}} {
+		if _, err := RunWorkload(Options{Spec: designSpec(t, config.SCA), Workload: "arrayswap", Params: p}); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
+	}
+}
+
 func TestMultiCoreThroughputScales(t *testing.T) {
 	// More cores complete more transactions per second under SCA even
 	// with contention — the paper's Fig. 13 premise. The workload needs

@@ -224,6 +224,9 @@ type campaignCell struct {
 func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	opts CampaignOptions) (*CampaignRun, error) {
 
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err

@@ -151,6 +151,16 @@ func TestCampaignValidateClasses(t *testing.T) {
 	}
 }
 
+// A negative size is an error up front, before any trace is built.
+func TestRunCampaignRejectsNegativeParams(t *testing.T) {
+	spec := campaignSpec(t, "sca")
+	for _, p := range []workloads.Params{{Items: -1}, {Ops: -1}, {OpsPerTx: -1}} {
+		if _, err := RunCampaign(spec, &workloads.ArraySwap{}, p, CampaignOptions{GridPoints: 4}); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
+	}
+}
+
 // A halted campaign must resume from its checkpoint and reproduce the
 // uninterrupted run's reports byte for byte, without re-simulating
 // completed cells.

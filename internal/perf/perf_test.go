@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"io"
@@ -184,6 +185,57 @@ func TestSessionWritesSidecarAndProfiles(t *testing.T) {
 	}
 	if r.Straggler != "cell-b" || r.StragglerWallMS < 9 {
 		t.Errorf("straggler = %q (%v ms)", r.Straggler, r.StragglerWallMS)
+	}
+}
+
+// TestRunnerSinkUnderParallelMap drives the repo's one nested lock
+// path: runner holds its doneMu around OnDone, and RunnerSink takes
+// Session.mu inside it, while the cells themselves take Profiler.mu
+// through perf.Begin regions. Run under -race, it checks the nesting
+// neither races nor deadlocks, and that the report counts every cell.
+func TestRunnerSinkUnderParallelMap(t *testing.T) {
+	const cells, workers = 64, 4
+	o := &Options{PerfOut: filepath.Join(t.TempDir(), "perf.json")}
+	s, err := o.Begin("testtool", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetWorkers(workers)
+	jobs := make([]int, cells)
+	rs := runner.Map(context.Background(), jobs,
+		func(_ context.Context, _ int) (struct{}, error) {
+			defer Begin("cell").End()
+			return struct{}{}, nil
+		},
+		runner.Options{Workers: workers, OnDone: s.RunnerSink(nil)})
+	for _, r := range rs {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(o.PerfOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := DecodeReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Runner; r == nil || r.Cells != cells || r.OK != cells || r.Failed != 0 || r.Workers != workers {
+		t.Errorf("runner stats = %+v, want %d OK cells at %d workers", rep.Runner, cells, workers)
+	}
+	var regions uint64
+	for _, ph := range rep.Phases {
+		if ph.Name == "cell" {
+			regions = ph.Count
+		}
+	}
+	if regions != cells {
+		t.Errorf("cell regions = %d, want %d: %+v", regions, cells, rep.Phases)
 	}
 }
 

@@ -44,6 +44,21 @@ type Params struct {
 	TxMode persist.TxMode
 }
 
+// Validate rejects negative sizes. Zero Items, Ops or OpsPerTx means
+// "use the default" (WithDefaults); a negative one would make Run loop
+// forever or panic in the generator.
+func (p Params) Validate() error {
+	switch {
+	case p.Items < 0:
+		return fmt.Errorf("workloads: negative Items %d", p.Items)
+	case p.Ops < 0:
+		return fmt.Errorf("workloads: negative Ops %d", p.Ops)
+	case p.OpsPerTx < 0:
+		return fmt.Errorf("workloads: negative OpsPerTx %d", p.OpsPerTx)
+	}
+	return nil
+}
+
 // WithDefaults fills zero fields with sensible defaults.
 func (p Params) WithDefaults() Params {
 	if p.Items == 0 {

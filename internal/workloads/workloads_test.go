@@ -357,3 +357,19 @@ func TestExtendedRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Validate rejects each negative size and accepts zero, which means
+// "use the default".
+func TestParamsValidate(t *testing.T) {
+	if err := (Params{}).Validate(); err != nil {
+		t.Errorf("zero Params: %v", err)
+	}
+	if err := (Params{Items: 8, Ops: 4, OpsPerTx: 2}).Validate(); err != nil {
+		t.Errorf("positive Params: %v", err)
+	}
+	for _, p := range []Params{{Items: -1}, {Ops: -1}, {OpsPerTx: -1}} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
+	}
+}
