@@ -263,6 +263,29 @@ func BenchmarkSimEngine(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkSimEngineHandler measures event throughput on the path
+// replay runs: a registered handler posted with an argument, with 40
+// events in flight (replay-grid's mean queue depth) at spread delays.
+func BenchmarkSimEngineHandler(b *testing.B) {
+	const inFlight = 40
+	eng := sim.New()
+	eng.ReserveEvents(inFlight)
+	n := 0
+	var h sim.Handler
+	h = eng.Register(func(arg uint64) {
+		n++
+		if n <= b.N-inFlight {
+			next := arg*6364136223846793005 + 1442695040888963407
+			eng.Post(sim.Time(1+next>>33%97), h, next)
+		}
+	})
+	for i := 0; i < inFlight && i < b.N; i++ {
+		eng.Post(sim.Time(i), h, uint64(i))
+	}
+	b.ResetTimer()
+	eng.Run()
+}
+
 // BenchmarkWorkloadTraceGen measures functional execution + trace
 // recording for each workload.
 func BenchmarkWorkloadTraceGen(b *testing.B) {

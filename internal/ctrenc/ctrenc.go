@@ -28,10 +28,16 @@ import (
 // blocksPerLine AES blocks (16B each) cover one 64B line.
 const blocksPerLine = mem.LineBytes / aes.BlockSize
 
-// Engine derives OTPs and encrypts/decrypts cache lines. It is stateless
-// apart from the key schedule and safe for concurrent use.
+// Engine derives OTPs and encrypts/decrypts cache lines. It keeps its AES
+// input block and pad as scratch fields, so it is not safe for concurrent
+// use: an engine belongs to one controller (memctrl.New builds one per
+// controller) or to one caller.
 type Engine struct {
 	block cipher.Block
+	// in and pad are OTP's scratch. As locals they would escape to the
+	// heap through the cipher.Block interface on every call.
+	in  [aes.BlockSize]byte
+	pad mem.Line
 }
 
 // New returns an engine keyed with the given 16/24/32-byte AES key.
@@ -64,14 +70,12 @@ func NewDefault() *Engine { return MustNew(DefaultKey) }
 // counter value. Each 16B AES block mixes in its own sub-address so that
 // all four blocks of the pad differ.
 func (e *Engine) OTP(addr mem.Addr, counter uint64) mem.Line {
-	var pad mem.Line
-	var in [aes.BlockSize]byte
 	for i := 0; i < blocksPerLine; i++ {
-		binary.LittleEndian.PutUint64(in[0:8], uint64(addr)+uint64(i*aes.BlockSize))
-		binary.LittleEndian.PutUint64(in[8:16], counter)
-		e.block.Encrypt(pad[i*aes.BlockSize:(i+1)*aes.BlockSize], in[:])
+		binary.LittleEndian.PutUint64(e.in[0:8], uint64(addr)+uint64(i*aes.BlockSize))
+		binary.LittleEndian.PutUint64(e.in[8:16], counter)
+		e.block.Encrypt(e.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], e.in[:])
 	}
-	return pad
+	return e.pad
 }
 
 // Encrypt returns the ciphertext of plain for the line at addr under the

@@ -175,18 +175,18 @@ func TestPropertyPackUnpack(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs pins the per-write crypto path. Encrypt and
-// Decrypt allocate twice each: OTP's pad and in escape through the
-// cipher.Block interface. Counters.Next on a line it already tracks
-// allocates nothing.
+// TestSteadyStateAllocs pins the per-write crypto path at zero
+// allocations: OTP's input block and pad are engine fields, so nothing
+// escapes through the cipher.Block interface. Counters.Next on a line it
+// already tracks allocates nothing either.
 func TestSteadyStateAllocs(t *testing.T) {
 	e := NewDefault()
 	var l mem.Line
-	if got := testing.AllocsPerRun(100, func() { l = e.Encrypt(l, 0x40, 7) }); got > 2 {
-		t.Errorf("Encrypt allocates %v times, pin 2", got)
+	if got := testing.AllocsPerRun(100, func() { l = e.Encrypt(l, 0x40, 7) }); got > 0 {
+		t.Errorf("Encrypt allocates %v times, pin 0", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { l = e.Decrypt(l, 0x40, 7) }); got > 2 {
-		t.Errorf("Decrypt allocates %v times, pin 2", got)
+	if got := testing.AllocsPerRun(100, func() { l = e.Decrypt(l, 0x40, 7) }); got > 0 {
+		t.Errorf("Decrypt allocates %v times, pin 0", got)
 	}
 	c := NewCounters()
 	c.Next(0x40)

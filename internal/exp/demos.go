@@ -127,16 +127,20 @@ func Fig8(out io.Writer) (Fig8Result, error) {
 		}
 		eng, mc := m.Eng, m.MC
 		var doneAt sim.Time
+		// A no-op handler, not NoHandler: the ccwb's acceptance still
+		// posts an event, as a blocking barrier's does.
+		ccwbDone := eng.Register(func(uint64) {})
+		commitDone := eng.Register(func(uint64) { doneAt = eng.Now() })
 		eng.Schedule(0, func() {
 			var line mem.Line
 			// Stage writes: eight lines spread over distinct counter
 			// lines, as a log prepare would touch.
 			for i := 0; i < 8; i++ {
-				mc.Write(mem.Addr(i*8*64), line, false, nil)
+				mc.Write(mem.Addr(i*8*64), line, false, sim.NoHandler, 0)
 			}
-			mc.CounterWriteback(0, func() {})
+			mc.CounterWriteback(0, ccwbDone, 0)
 			// Commit: the counter-atomic write.
-			mc.Write(0x100000, line, true, func() { doneAt = eng.Now() })
+			mc.Write(0x100000, line, true, commitDone, 0)
 		})
 		eng.Run()
 		return doneAt, nil

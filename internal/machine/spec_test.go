@@ -256,9 +256,8 @@ func TestBuildDRAMBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done sim.Time
-		m.Eng.Schedule(0, func() {
-			m.MC.Read(0, func() { done = m.Eng.Now() })
-		})
+		read := m.Eng.Register(func(uint64) { done = m.Eng.Now() })
+		m.Eng.Schedule(0, func() { m.MC.Read(0, read, 0) })
 		m.Eng.Run()
 		return done
 	}

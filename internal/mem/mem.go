@@ -11,7 +11,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"encnvm/internal/sim"
 )
@@ -244,21 +243,6 @@ func (im *Image) SnapshotWritesAt(t sim.Time) map[Addr]Write {
 	return out
 }
 
-// WriteTimes returns the sorted distinct completion times in the log; the
-// crash harness sweeps crash points across them.
-func (im *Image) WriteTimes() []sim.Time {
-	seen := make(map[sim.Time]bool, len(im.log))
-	var out []sim.Time
-	for _, w := range im.log {
-		if !seen[w.At] {
-			seen[w.At] = true
-			out = append(out, w.At)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Space is a sparse byte-addressable memory backed by 64B lines. The
 // software stack (workloads, the persist runtime, and post-crash recovery)
 // reads and writes plaintext through a Space. Reading a line makes it
@@ -320,13 +304,6 @@ func (s *Space) ReadLine(a Addr) Line { return *s.lines.Ptr(a) }
 
 // WriteLine replaces the full line containing a.
 func (s *Space) WriteLine(a Addr, l Line) { *s.lines.Ptr(a) = l }
-
-// Lines returns the addresses of all lines ever touched, sorted.
-func (s *Space) Lines() []Addr {
-	out := make([]Addr, 0, s.lines.Len())
-	s.lines.Each(func(a Addr, _ *Line) { out = append(out, a) })
-	return out
-}
 
 // Clone returns a deep copy of the space.
 func (s *Space) Clone() *Space { return &Space{lines: s.lines.Clone()} }

@@ -135,23 +135,3 @@ func TestTableCloneIndependent(t *testing.T) {
 	checkTable(t, &tab, model)
 	checkTable(t, &cl, cmodel)
 }
-
-// TestSpaceReadCreatesLine pins that reading a Space line makes it
-// present, so Lines lists lines that were only read.
-func TestSpaceReadCreatesLine(t *testing.T) {
-	s := NewSpace()
-	ctr := NewLayout(8 << 30).CounterBase
-	s.WriteUint64(ctr+8, 3)
-	_ = s.ReadLine(64<<20 + 5)
-	_ = s.ReadBytes(0x1000, 1)
-	lines := s.Lines()
-	want := []Addr{0x1000, 64 << 20, ctr}
-	if len(lines) != len(want) {
-		t.Fatalf("Lines = %#x, want %#x", lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("Lines = %#x, want %#x", lines, want)
-		}
-	}
-}

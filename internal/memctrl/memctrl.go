@@ -52,33 +52,51 @@ const counterLinger = 2 * sim.Microsecond
 // entry is one in-flight write: accepted into a queue, possibly already
 // issued to the device, removed at device completion. All queued entries
 // are ready (ADR-drainable); unready requests wait in the accept FIFO
-// outside the queues.
+// outside the queues. Entries live in the controller's entries slab and
+// are named by index, which is what their events carry.
 type entry struct {
 	addr     mem.Addr
 	data     mem.Line
-	nbytes   int
 	tag      uint64   // encryption counter (ground truth for the harness)
-	sum      uint16   // plaintext checksum (the persisted ECC model)
-	ca       bool     // counter-atomic data write (never coalesced)
-	eligible bool     // encryption pipeline done; may issue
-	issued   bool     // device write dispatched
-	done     bool     // device write completed
 	deadline sim.Time // counter entries: must issue by this time
+	nbytes   int32
+	next     int32  // free-list link while the entry is unused
+	sum      uint16 // plaintext checksum (the persisted ECC model)
+	ca       bool   // counter-atomic data write (never coalesced)
+	eligible bool   // encryption pipeline done; may issue
+	issued   bool   // device write dispatched
+	done     bool   // device write completed
+	isData   bool   // queued in dataQ (else counterQ)
 	// syncCtr marks a co-located entry whose 72B access carries its
-	// counter (tag): completion also syncs the image's counter slot. A
-	// flag, not a callback — closures here allocate once per write.
+	// counter (tag): completion also syncs the image's counter slot.
 	syncCtr bool
 }
 
 // writeReq is a write awaiting acceptance.
 type writeReq struct {
-	addr     mem.Addr
-	plain    mem.Line
-	ca       bool
-	isCtr    bool     // counter-line write (ccwb or eviction)
-	ccwb     bool     // isCtr via counter_cache_writeback: dirty-checked at its turn
-	accepted func()   // fires at acceptance (persistence now guaranteed)
-	arrival  sim.Time // for queueing-delay stats
+	addr    mem.Addr
+	plain   mem.Line
+	arrival sim.Time // for queueing-delay stats
+	// accepted is posted with acceptArg at acceptance (persistence now
+	// guaranteed); NoHandler posts nothing.
+	acceptArg uint64
+	accepted  sim.Handler
+	ca        bool
+	isCtr     bool // counter-line write (ccwb or eviction)
+	ccwb      bool // isCtr via counter_cache_writeback: dirty-checked at its turn
+}
+
+// readReq is one read between its arrival and its completion: waiting
+// for a read-queue slot, or in flight with remaining parts outstanding.
+type readReq struct {
+	addr mem.Addr
+	arg  uint64
+	done sim.Handler // called with arg when the read completes
+	// remaining counts the parts still outstanding once the read is in
+	// flight: device fetches and the decryption delay. Zero while the
+	// read waits for a read-queue slot.
+	remaining int32
+	next      int32 // wait-queue or free-list link
 }
 
 // Controller is the memory controller for one simulated system.
@@ -93,11 +111,12 @@ type Controller struct {
 
 	layout mem.Layout
 	enc    *ctrenc.Engine
-	ctrs   *ctrenc.Counters
+	ctrs   ctrenc.Counters
 	ctrC   *cache.Cache // nil unless the design uses a counter cache
 
-	dataQ     []*entry
-	counterQ  []*entry
+	// dataQ and counterQ hold indices into entries, in queue order.
+	dataQ     []int32
+	counterQ  []int32
 	pending   []*writeReq // FIFO accept queue (backpressure)
 	accepting bool        // reentrancy guard for tryAccept
 	// spare is pending's second buffer: an acceptance pass compacts the
@@ -106,17 +125,17 @@ type Controller struct {
 	// FIFO's high-water mark once and are reused from then on.
 	spare []*writeReq
 
-	// entryPool recycles queue entries (ROADMAP item 2: entry pooling).
-	// The queues are bounded by the configured capacities, so New
-	// pre-allocates one slab covering both; retire returns entries here
-	// and the accept path reuses them, making the steady-state write
-	// path free of per-write entry allocations.
-	entryPool []*entry
+	// entries is the slab every queue entry lives in, pre-sized to cover
+	// both queues; retire returns entries to the free list headed by
+	// freeEntry (-1 when empty) and the accept path reuses them.
+	entries   []entry
+	freeEntry int32
 
-	// reqPool recycles accept-FIFO requests the same way (ROADMAP item
-	// 2: writeReq pooling). The FIFO is bounded in steady state by the
-	// replay cores' backpressure threshold; the slab covers that, and
-	// overflow (shutdown-flush storms) falls back to the heap in
+	// reqPool recycles accept-FIFO requests out of a slab. They stay
+	// pointers, not indices, because the acceptance scan compacts and
+	// swaps the FIFO by pointer. The FIFO is bounded in steady state by
+	// the replay cores' backpressure threshold; the slab covers that,
+	// and overflow (shutdown-flush storms) falls back to the heap in
 	// getReq.
 	reqPool []*writeReq
 
@@ -142,9 +161,23 @@ type Controller struct {
 	counterIssued int
 
 	// Read-queue capacity (Table 2: 32 entries): reads beyond it wait
-	// their turn in arrival order.
+	// their turn in arrival order, linked from waitHead to waitTail
+	// through reads (-1 when none wait). reads is the slab of read
+	// records, with its free list headed by freeRead.
 	readsInFlight int
-	readWaiters   []func()
+	reads         []readReq
+	freeRead      int32
+	waitHead      int32
+	waitTail      int32
+
+	// evH is the controller's one registered handler, event: each event
+	// it posts carries its kind and an entry or read index in the
+	// argument (evArg).
+	evH sim.Handler
+
+	flushLeft int // counter flushes not yet accepted
+	flushDone sim.Handler
+	flushArg  uint64
 
 	// stopLossLag counts, per data line, writes since the line's counter
 	// last headed to NVM; nil unless the engine enforces a stop-loss rule.
@@ -171,7 +204,6 @@ func New(eng *sim.Engine, cfg *config.Config, meta engines.Engine, dev *nvm.Devi
 		dev:            dev,
 		st:             st,
 		layout:         dev.Layout(),
-		ctrs:           ctrenc.NewCounters(),
 		stopLossLimit:  meta.StopLossLimit(cfg),
 		treeExtraBytes: cfg.LineBytes * meta.TreePathWrites(cfg),
 	}
@@ -184,49 +216,95 @@ func New(eng *sim.Engine, cfg *config.Config, meta engines.Engine, dev *nvm.Devi
 	if mc.stopLossLimit >= 0 {
 		mc.stopLossLag = make(map[mem.Addr]int)
 	}
-	// Pre-size the queues to their configured capacities and carve the
-	// entry pool out of one slab, so the steady-state accept/retire
-	// cycle never allocates.
-	mc.dataQ = make([]*entry, 0, cfg.DataWriteQueue)
-	mc.counterQ = make([]*entry, 0, cfg.CounterWriteQueue)
-	slab := make([]entry, cfg.DataWriteQueue+cfg.CounterWriteQueue)
-	mc.entryPool = make([]*entry, len(slab))
-	for i := range slab {
-		mc.entryPool[i] = &slab[i]
-	}
+	// Pre-size the queues to their configured capacities, both out of
+	// one backing array, and the entry slab to cover them, so the
+	// steady-state accept/retire cycle never allocates.
+	dq, cq := cfg.DataWriteQueue, cfg.CounterWriteQueue
+	qs := make([]int32, 0, dq+cq)
+	mc.dataQ, mc.counterQ = qs[:0:dq], qs[dq:dq:dq+cq]
+	mc.entries = make([]entry, 0, dq+cq)
+	// One read record per read-queue slot; waiting reads grow the slab.
+	mc.reads = make([]readReq, 0, cfg.ReadQueueEntries)
+	mc.freeEntry, mc.freeRead, mc.waitHead, mc.waitTail = -1, -1, -1, -1
+	dev.ReserveWrites(mc.dataIssueWidth() + mc.counterIssueWidth())
 	// The accept FIFO is bounded in steady state by the cores'
-	// writeback backpressure (~2× the acceptance window); size the
-	// request slab past that so only flush storms hit the heap.
-	reqSlab := make([]writeReq, 4*acceptWindow)
+	// writeback backpressure (replay stalls a core while more than 128
+	// writes wait, 2× the acceptance window); size the request slab past
+	// that so only flush storms hit the heap.
+	reqSlab := make([]writeReq, 3*acceptWindow)
 	mc.reqPool = make([]*writeReq, len(reqSlab))
 	for i := range reqSlab {
 		mc.reqPool[i] = &reqSlab[i]
 	}
+	mc.evH = eng.Register(mc.event)
 	return mc
 }
 
-// getEntry takes a zeroed entry from the pool, falling back to the heap
-// when the pool is empty (possible only when stop-loss counter writes
-// push the counter queue past its nominal capacity).
-func (mc *Controller) getEntry() *entry {
-	if n := len(mc.entryPool); n > 0 {
-		e := mc.entryPool[n-1]
-		mc.entryPool[n-1] = nil
-		mc.entryPool = mc.entryPool[:n-1]
-		return e
+// Controller event kinds. An event's argument holds its kind above the
+// 32-bit index of the entry or read record it concerns. One handler with
+// a kind, not one registered handler per kind, keeps a machine build from
+// allocating a method value per kind.
+const (
+	evEligible      = iota // entry's encryption finished: it may issue
+	evDeadline             // a counter entry's linger deadline passed
+	evWritten              // entry's device write landed
+	evReadPart             // one part of a read finished
+	evReadFetched          // a fetch that decryption must follow finished
+	evRetryRead            // a waiting read's turn
+	evFlushAccepted        // one FlushCounters write was accepted
+)
+
+// evArg packs event kind k and index i into an event argument.
+func evArg(k uint64, i int32) uint64 { return k<<32 | uint64(uint32(i)) }
+
+// event is the controller's registered handler.
+func (mc *Controller) event(arg uint64) {
+	i := int32(uint32(arg))
+	switch arg >> 32 {
+	case evEligible:
+		mc.eligible(i)
+	case evDeadline:
+		// The deadline names no entry: by now the entry may have
+		// issued, retired and been reused.
+		mc.tryIssue()
+	case evWritten:
+		mc.written(i)
+	case evReadPart:
+		mc.readPart(i)
+	case evReadFetched:
+		mc.post(mc.cfg.CryptoLatency, evReadPart, i)
+	case evRetryRead:
+		mc.retryRead(i)
+	case evFlushAccepted:
+		mc.flushAccepted()
 	}
-	return new(entry)
 }
 
-// putEntry zeroes a retired entry and returns it to the pool. Entries
-// beyond the pool's capacity (stop-loss overflow) are dropped for the
-// GC to collect.
-func (mc *Controller) putEntry(e *entry) {
-	*e = entry{}
-	if n := len(mc.entryPool); n < cap(mc.entryPool) {
-		mc.entryPool = mc.entryPool[:n+1]
-		mc.entryPool[n] = e
+// post posts event kind k for index i after delay.
+func (mc *Controller) post(delay sim.Time, k uint64, i int32) {
+	mc.eng.Post(delay, mc.evH, evArg(k, i))
+}
+
+// getEntry takes a zeroed entry from the free list, or else appends one
+// to the slab, and returns its index. The slab's capacity covers both
+// queues, so appending reallocates only when stop-loss counter writes
+// push the counter queue past its nominal capacity. Reallocation moves
+// the slab: callers hold indices, never *entry, across getEntry.
+func (mc *Controller) getEntry() int32 {
+	i := mc.freeEntry
+	if i < 0 {
+		mc.entries = append(mc.entries, entry{})
+		return int32(len(mc.entries) - 1)
 	}
+	mc.freeEntry = mc.entries[i].next
+	mc.entries[i].next = 0
+	return i
+}
+
+// putEntry zeroes a retired entry and returns it to the free list.
+func (mc *Controller) putEntry(i int32) {
+	mc.entries[i] = entry{next: mc.freeEntry}
+	mc.freeEntry = i
 }
 
 // SetPersistEpochSink attaches (or, with nil, detaches) the persist-
@@ -266,29 +344,30 @@ func (mc *Controller) putReq(r *writeReq) {
 	}
 }
 
-// pushData appends e to the data queue. Acceptance checks capacity
+// pushData appends entry i to the data queue. Acceptance checks capacity
 // first, so this never grows the pre-sized backing array.
-func (mc *Controller) pushData(e *entry) {
+func (mc *Controller) pushData(i int32) {
+	mc.entries[i].isData = true
 	n := len(mc.dataQ)
 	mc.dataQ = mc.dataQ[:n+1]
-	mc.dataQ[n] = e
+	mc.dataQ[n] = i
 }
 
-// pushCounter appends e to the counter queue, growing only on stop-loss
-// overflow past the configured capacity.
-func (mc *Controller) pushCounter(e *entry) {
+// pushCounter appends entry i to the counter queue, growing only on
+// stop-loss overflow past the configured capacity.
+func (mc *Controller) pushCounter(i int32) {
 	n := len(mc.counterQ)
 	if n < cap(mc.counterQ) {
 		mc.counterQ = mc.counterQ[:n+1]
-		mc.counterQ[n] = e
+		mc.counterQ[n] = i
 		return
 	}
-	mc.counterQ = append(mc.counterQ, e)
+	mc.counterQ = append(mc.counterQ, i)
 }
 
 // Counters exposes the authoritative per-line counter state (the values
 // most recently used for encryption) for the crash harness and recovery.
-func (mc *Controller) Counters() *ctrenc.Counters { return mc.ctrs }
+func (mc *Controller) Counters() *ctrenc.Counters { return &mc.ctrs }
 
 // Encryption returns the functional encryption engine, or nil for the
 // NoEncryption design.
@@ -324,47 +403,44 @@ func (mc *Controller) EncryptedWrites() uint64 { return mc.ctrs.Global() }
 // ---------------------------------------------------------------------------
 // Read path
 
-// Read fetches the data line at addr. done fires when decrypted data would
-// be available to fill the caches. The actual plaintext flows through the
-// replay engine's image; the controller provides timing and traffic.
-// Reads beyond the read queue's capacity wait in arrival order.
-func (mc *Controller) Read(addr mem.Addr, done func()) {
+// Read fetches the data line at addr and calls (h, arg) when decrypted
+// data would be available to fill the caches; NoHandler calls nothing.
+// The actual plaintext flows through the replay engine's image; the
+// controller provides timing and traffic. Reads beyond the read queue's
+// capacity wait in arrival order.
+func (mc *Controller) Read(addr mem.Addr, h sim.Handler, arg uint64) {
 	addr = addr.LineAddr()
 
 	// Forward from an in-flight or waiting write if possible.
 	if mc.findWrite(addr) {
 		mc.st.Inc(stats.ReadForwards, 1)
-		mc.eng.Schedule(forwardLatency, done)
+		mc.eng.Post(forwardLatency, h, arg)
 		return
 	}
 
+	i := mc.getRead()
+	r := &mc.reads[i]
+	r.addr, r.done, r.arg = addr, h, arg
 	if mc.readsInFlight >= mc.cfg.ReadQueueEntries {
 		mc.st.Inc(stats.ReadQueueFull, 1)
-		mc.readWaiters = append(mc.readWaiters, func() { mc.Read(addr, done) })
+		if mc.waitTail >= 0 {
+			mc.reads[mc.waitTail].next = i
+		} else {
+			mc.waitHead = i
+		}
+		mc.waitTail = i
 		return
 	}
 	mc.readsInFlight++
-	userDone := done
-	done = func() {
-		mc.readsInFlight--
-		if len(mc.readWaiters) > 0 {
-			next := mc.readWaiters[0]
-			mc.readWaiters = mc.readWaiters[1:]
-			mc.eng.Schedule(0, next)
-		}
-		userDone()
-	}
 
 	switch {
 	case !mc.meta.Encrypted:
-		mc.dev.Read(addr, mc.cfg.AccessBytes(), func(mem.Line, bool) { done() })
+		mc.fetch(i, 1, addr, mc.cfg.AccessBytes(), evReadPart)
 
 	case mc.meta.CoLocatesCounters && !mc.meta.UsesCounterCache:
 		// No counter cache: the counter arrives with the data, so
 		// decryption strictly follows the read (Fig. 6a).
-		mc.dev.Read(addr, mc.cfg.AccessBytes(), func(mem.Line, bool) {
-			mc.eng.Schedule(mc.cfg.CryptoLatency, done)
-		})
+		mc.fetch(i, 1, addr, mc.cfg.AccessBytes(), evReadFetched)
 
 	case mc.meta.CoLocatesCounters:
 		cl := mc.layout.CounterLine(addr)
@@ -373,13 +449,11 @@ func (mc *Controller) Read(addr mem.Addr, done func()) {
 		if hit {
 			mc.st.Inc(stats.CounterCacheHits, 1)
 			// OTP generation overlaps the data fetch (Fig. 6b).
-			mc.join2(addr, mc.cfg.CryptoLatency, done)
+			mc.fetchAndDecrypt(i, addr)
 		} else {
 			mc.st.Inc(stats.CounterCacheMiss, 1)
 			// The 72B access brings the counter; decrypt after.
-			mc.dev.Read(addr, mc.cfg.AccessBytes(), func(mem.Line, bool) {
-				mc.eng.Schedule(mc.cfg.CryptoLatency, done)
-			})
+			mc.fetch(i, 1, addr, mc.cfg.AccessBytes(), evReadFetched)
 		}
 
 	default: // separate counter region + counter cache (Ideal, FCA, SCA, Osiris)
@@ -388,44 +462,86 @@ func (mc *Controller) Read(addr mem.Addr, done func()) {
 		mc.evictCounterVictim(res)
 		if res.Hit {
 			mc.st.Inc(stats.CounterCacheHits, 1)
-			mc.join2(addr, mc.cfg.CryptoLatency, done)
+			mc.fetchAndDecrypt(i, addr)
 		} else {
 			mc.st.Inc(stats.CounterCacheMiss, 1)
 			// The read stalls until the counter line arrives from
 			// NVM, then OTP generation, overlapped with the data
 			// fetch (§5.2.1 "Counter Cache Miss").
-			remaining := 2
-			dec := func() {
-				remaining--
-				if remaining == 0 {
-					done()
-				}
-			}
-			mc.dev.Read(addr, 64, func(mem.Line, bool) { dec() })
-			mc.dev.Read(cl, 64, func(mem.Line, bool) {
-				mc.eng.Schedule(mc.cfg.CryptoLatency, dec)
-			})
+			mc.fetch(i, 2, addr, 64, evReadPart)
+			mc.dev.Read(cl, 64, mc.evH, evArg(evReadFetched, i))
 		}
 	}
 }
 
-// join2 runs done when both the data fetch for addr and an on-chip delay
-// (OTP generation) have elapsed.
-func (mc *Controller) join2(addr mem.Addr, delay sim.Time, done func()) {
-	remaining := 2
-	dec := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
+// fetch sets read i's outstanding part count and starts its data fetch,
+// whose completion posts event kind k: evReadPart, or evReadFetched when
+// decryption must follow the fetch.
+func (mc *Controller) fetch(i, parts int32, addr mem.Addr, nbytes int, k uint64) {
+	mc.reads[i].remaining = parts
+	mc.dev.Read(addr, nbytes, mc.evH, evArg(k, i))
+}
+
+// fetchAndDecrypt completes read i when both the data fetch for addr and
+// the on-chip OTP generation have elapsed.
+func (mc *Controller) fetchAndDecrypt(i int32, addr mem.Addr) {
+	mc.fetch(i, 2, addr, mc.cfg.AccessBytes(), evReadPart)
+	mc.post(mc.cfg.CryptoLatency, evReadPart, i)
+}
+
+// readPart completes one part of read i; the last one completes the
+// read: its read-queue slot passes to the oldest waiting read, whose
+// retry is posted, and the read's own handler runs.
+func (mc *Controller) readPart(i int32) {
+	r := &mc.reads[i]
+	r.remaining--
+	if r.remaining > 0 {
+		return
 	}
-	mc.dev.Read(addr, mc.cfg.AccessBytes(), func(mem.Line, bool) { dec() })
-	mc.eng.Schedule(delay, dec)
+	h, arg := r.done, r.arg
+	mc.putRead(i)
+	mc.readsInFlight--
+	if w := mc.waitHead; w >= 0 {
+		mc.waitHead = mc.reads[w].next
+		if mc.waitHead < 0 {
+			mc.waitTail = -1
+		}
+		mc.post(0, evRetryRead, w)
+	}
+	mc.eng.Call(h, arg)
+}
+
+// retryRead gives waiting read i its turn: it is read again from the
+// start, so it may forward from a write queued meanwhile, or wait again
+// behind a read that took the slot first.
+func (mc *Controller) retryRead(i int32) {
+	r := mc.reads[i]
+	mc.putRead(i)
+	mc.Read(r.addr, r.done, r.arg)
+}
+
+// getRead takes a zeroed read record from the free list, or else appends
+// one to the slab, and returns its index.
+func (mc *Controller) getRead() int32 {
+	i := mc.freeRead
+	if i < 0 {
+		mc.reads = append(mc.reads, readReq{next: -1})
+		return int32(len(mc.reads) - 1)
+	}
+	mc.freeRead = mc.reads[i].next
+	mc.reads[i].next = -1
+	return i
+}
+
+// putRead returns read record i to the free list.
+func (mc *Controller) putRead(i int32) {
+	mc.reads[i] = readReq{next: mc.freeRead}
+	mc.freeRead = i
 }
 
 func (mc *Controller) findWrite(addr mem.Addr) bool {
-	for _, e := range mc.dataQ {
-		if e.addr == addr {
+	for _, i := range mc.dataQ {
+		if mc.entries[i].addr == addr {
 			return true
 		}
 	}
@@ -443,10 +559,10 @@ func (mc *Controller) findWrite(addr mem.Addr) bool {
 // Write writes back the plaintext line at addr. ca marks a store to a
 // CounterAtomic variable; the engine decides the write's final atomicity
 // (FCA forces it for every write, co-located and checksum-recovery
-// engines never enforce it). accepted fires when the write's persistence
-// is guaranteed (entered the ADR domain, with its counter where the
-// design requires one).
-func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted func()) {
+// engines never enforce it). (accepted, arg) is posted when the write's
+// persistence is guaranteed (entered the ADR domain, with its counter
+// where the design requires one); NoHandler posts nothing.
+func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted sim.Handler, arg uint64) {
 	addr = addr.LineAddr()
 	ca = mc.meta.WriteIsCounterAtomic(ca)
 	if ca {
@@ -455,24 +571,24 @@ func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted fun
 		mc.st.Inc(stats.NonCAWrites, 1)
 	}
 	req := mc.getReq()
-	req.addr, req.plain, req.ca, req.accepted, req.arrival =
-		addr, plain, ca, accepted, mc.eng.Now()
+	req.addr, req.plain, req.ca, req.accepted, req.acceptArg, req.arrival =
+		addr, plain, ca, accepted, arg, mc.eng.Now()
 	mc.pending = append(mc.pending, req)
 	mc.tryAccept()
 }
 
 // CounterWriteback implements counter_cache_writeback(addr) (§4.3): if the
 // counter line covering addr is dirty in the counter cache, write it back
-// (without invalidating). accepted fires when the counter write is in the
-// ADR domain — immediately if there was nothing to write.
-func (mc *Controller) CounterWriteback(addr mem.Addr, accepted func()) {
+// (without invalidating). (accepted, arg) is posted when the counter write
+// is in the ADR domain — at once if there is nothing to write.
+func (mc *Controller) CounterWriteback(addr mem.Addr, accepted sim.Handler, arg uint64) {
 	mc.st.Inc(stats.CCWBs, 1)
 	if !mc.meta.CounterWritebackEmits {
 		// Co-located designs have no separate counters to write, and
 		// checksum-recovery engines make the primitive unnecessary:
 		// recovery regenerates counters from the persisted ECC within
 		// the stop-loss window.
-		mc.eng.Schedule(0, accepted)
+		mc.eng.Post(0, accepted, arg)
 		return
 	}
 	// The dirty check must happen at the request's turn in acceptance
@@ -488,19 +604,20 @@ func (mc *Controller) CounterWriteback(addr mem.Addr, accepted func()) {
 		// the ordering: the barrier does not wait for the counter to
 		// enter the ADR domain — which is exactly why it is not crash
 		// consistent.
-		mc.eng.Schedule(0, accepted)
+		mc.eng.Post(0, accepted, arg)
 	} else {
-		req.accepted = accepted
+		req.accepted, req.acceptArg = accepted, arg
 	}
 	mc.pending = append(mc.pending, req)
 	mc.tryAccept()
 }
 
 // enqueueCounterWrite queues a standalone (always-ready) write of the
-// counter line cl with its current packed values.
-func (mc *Controller) enqueueCounterWrite(cl mem.Addr, accepted func()) {
+// counter line cl with its current packed values; (accepted, arg) is
+// posted at acceptance.
+func (mc *Controller) enqueueCounterWrite(cl mem.Addr, accepted sim.Handler, arg uint64) {
 	req := mc.getReq()
-	req.addr, req.isCtr, req.accepted, req.arrival = cl, true, accepted, mc.eng.Now()
+	req.addr, req.isCtr, req.accepted, req.acceptArg, req.arrival = cl, true, accepted, arg, mc.eng.Now()
 	mc.pending = append(mc.pending, req)
 	mc.tryAccept()
 }
@@ -587,9 +704,7 @@ func (mc *Controller) tryAccept() {
 				if turn && req.ccwb && (mc.ctrC == nil || !mc.ctrC.IsDirty(req.addr)) {
 					// Nothing to write after all; the request
 					// completes without consuming a queue slot.
-					if req.accepted != nil {
-						mc.eng.Schedule(0, req.accepted)
-					}
+					mc.postAccepted(req)
 					mc.putReq(req)
 					progress = true
 					continue
@@ -753,7 +868,8 @@ func (mc *Controller) acceptData(req *writeReq) {
 	// A non-CA write to a line already queued but not dispatched
 	// overwrites that entry instead of occupying another slot.
 	if !req.ca {
-		for _, old := range mc.dataQ {
+		for _, i := range mc.dataQ {
+			old := &mc.entries[i]
 			if old.addr == req.addr && !old.issued && !old.ca {
 				old.data, old.tag, old.sum = cipher, ctr, sum
 				if mc.meta.CoLocatesCounters {
@@ -761,24 +877,23 @@ func (mc *Controller) acceptData(req *writeReq) {
 					old.syncCtr = true
 				}
 				mc.st.Inc(stats.CoalescedWrites, 1)
-				if req.accepted != nil {
-					mc.eng.Schedule(0, req.accepted)
-				}
+				mc.postAccepted(req)
 				return
 			}
 		}
 	}
 
-	e := mc.getEntry()
-	e.addr, e.data, e.nbytes, e.tag, e.sum, e.ca = req.addr, cipher, mc.cfg.AccessBytes(), ctr, sum, req.ca
+	i := mc.getEntry()
+	e := &mc.entries[i]
+	e.addr, e.data, e.nbytes, e.tag, e.sum, e.ca = req.addr, cipher, int32(mc.cfg.AccessBytes()), ctr, sum, req.ca
 	if mc.meta.CoLocatesCounters {
 		// The 72B access carries the counter with the data; reflect
 		// that in the functional image at the same completion instant
 		// so the pair is atomic by construction.
 		e.syncCtr = true
 	}
-	mc.pushData(e)
-	mc.makeEligible(e, cryptoDelay)
+	mc.pushData(i)
+	mc.makeEligible(i, cryptoDelay)
 
 	if req.ca {
 		cl := mc.layout.CounterLine(req.addr)
@@ -788,11 +903,12 @@ func (mc *Controller) acceptData(req *writeReq) {
 			// coalesces. This is what doubles FCA's write traffic
 			// (§4.1) and keeps its 16-entry counter queue under
 			// pressure (Fig. 7a's serialization).
-			ce := mc.getEntry()
-			ce.addr, ce.data, ce.nbytes, ce.ca = cl, mc.packCounterLine(cl), 64+mc.treeExtraBytes, true
+			ci := mc.getEntry()
+			ce := &mc.entries[ci]
+			ce.addr, ce.data, ce.nbytes, ce.ca = cl, mc.packCounterLine(cl), int32(64+mc.treeExtraBytes), true
 			ce.deadline = mc.eng.Now() + cryptoDelay
-			mc.pushCounter(ce)
-			mc.makeEligible(ce, cryptoDelay)
+			mc.pushCounter(ci)
+			mc.makeEligible(ci, cryptoDelay)
 		} else {
 			mc.queueCounterEntry(cl, cryptoDelay)
 		}
@@ -801,8 +917,13 @@ func (mc *Controller) acceptData(req *writeReq) {
 			mc.ctrC.Clean(cl)
 		}
 	}
-	if req.accepted != nil {
-		mc.eng.Schedule(0, req.accepted)
+	mc.postAccepted(req)
+}
+
+// postAccepted posts req's acceptance handler, if it has one.
+func (mc *Controller) postAccepted(req *writeReq) {
+	if req.accepted != sim.NoHandler {
+		mc.eng.Post(0, req.accepted, req.acceptArg)
 	}
 }
 
@@ -820,16 +941,14 @@ func (mc *Controller) acceptCounter(req *writeReq) {
 		mc.st.Inc(stats.CounterCacheWB, 1)
 	}
 	mc.queueCounterEntry(req.addr, 0)
-	if req.accepted != nil {
-		mc.eng.Schedule(0, req.accepted)
-	}
+	mc.postAccepted(req)
 }
 
 // hasUnissuedCounter reports whether an unissued (coalescible) counter
 // entry for the counter line cl is queued.
 func (mc *Controller) hasUnissuedCounter(cl mem.Addr) bool {
-	for _, e := range mc.counterQ {
-		if e.addr == cl && !e.issued {
+	for _, i := range mc.counterQ {
+		if e := &mc.entries[i]; e.addr == cl && !e.issued {
 			return true
 		}
 	}
@@ -839,35 +958,39 @@ func (mc *Controller) hasUnissuedCounter(cl mem.Addr) bool {
 // queueCounterEntry coalesces a counter-line write into an unissued queued
 // entry for the same line, or appends a fresh entry with a linger deadline.
 func (mc *Controller) queueCounterEntry(cl mem.Addr, cryptoDelay sim.Time) {
-	for _, old := range mc.counterQ {
-		if old.addr == cl && !old.issued {
+	for _, i := range mc.counterQ {
+		if old := &mc.entries[i]; old.addr == cl && !old.issued {
 			old.data = mc.packCounterLine(cl)
 			mc.st.Inc(stats.CoalescedCounters, 1)
 			return
 		}
 	}
-	e := mc.getEntry()
-	e.addr, e.data, e.nbytes = cl, mc.packCounterLine(cl), 64+mc.treeExtraBytes
-	e.deadline = mc.eng.Now() + cryptoDelay + counterLinger
-	mc.pushCounter(e)
-	mc.makeEligible(e, cryptoDelay)
+	i := mc.getEntry()
+	e := &mc.entries[i]
+	e.addr, e.data, e.nbytes = cl, mc.packCounterLine(cl), int32(64+mc.treeExtraBytes)
+	deadline := mc.eng.Now() + cryptoDelay + counterLinger
+	e.deadline = deadline
+	mc.pushCounter(i)
+	mc.makeEligible(i, cryptoDelay)
 	// The deadline event guarantees the entry eventually issues even if
 	// nothing else stirs the scheduler.
-	mc.eng.At(e.deadline, mc.tryIssue)
+	mc.eng.PostAt(deadline, mc.evH, evArg(evDeadline, 0))
 }
 
-// makeEligible marks the entry dispatchable once the encryption pipeline
+// makeEligible marks entry i dispatchable once the encryption pipeline
 // delay has elapsed, then runs the issue scheduler.
-func (mc *Controller) makeEligible(e *entry, delay sim.Time) {
+func (mc *Controller) makeEligible(i int32, delay sim.Time) {
 	if delay == 0 {
-		e.eligible = true
-		mc.tryIssue()
+		mc.eligible(i)
 		return
 	}
-	mc.eng.Schedule(delay, func() {
-		e.eligible = true
-		mc.tryIssue()
-	})
+	mc.post(delay, evEligible, i)
+}
+
+// eligible marks entry i dispatchable and runs the issue scheduler.
+func (mc *Controller) eligible(i int32) {
+	mc.entries[i].eligible = true
+	mc.tryIssue()
 }
 
 // Issue-width limits: how many device writes each queue keeps in flight.
@@ -880,12 +1003,12 @@ func (mc *Controller) counterIssueWidth() int { return max(1, mc.cfg.CounterWrit
 // tryIssue dispatches eligible entries in queue order up to each queue's
 // issue width.
 func (mc *Controller) tryIssue() {
-	for _, e := range mc.dataQ {
+	for _, i := range mc.dataQ {
 		if mc.dataIssued >= mc.dataIssueWidth() {
 			break
 		}
-		if e.eligible && !e.issued {
-			mc.issue(e, true)
+		if e := &mc.entries[i]; e.eligible && !e.issued {
+			mc.issue(i)
 		}
 	}
 	// Counter writes drain lazily: only under capacity pressure or past
@@ -894,37 +1017,44 @@ func (mc *Controller) tryIssue() {
 	// always be accepted promptly.
 	pressure := len(mc.counterQ) >= mc.cfg.CounterWriteQueue-mc.cfg.CounterWriteQueue/4
 	now := mc.eng.Now()
-	for _, e := range mc.counterQ {
+	for _, i := range mc.counterQ {
 		if mc.counterIssued >= mc.counterIssueWidth() {
 			break
 		}
-		if e.eligible && !e.issued && (pressure || now >= e.deadline) {
-			mc.issue(e, false)
+		if e := &mc.entries[i]; e.eligible && !e.issued && (pressure || now >= e.deadline) {
+			mc.issue(i)
 		}
 	}
 }
 
-// issue dispatches one entry's device write and retires it at completion.
-func (mc *Controller) issue(e *entry, isData bool) {
+// issue dispatches entry i's device write; written retires it at
+// completion.
+func (mc *Controller) issue(i int32) {
+	e := &mc.entries[i]
 	e.issued = true
-	if isData {
+	if e.isData {
 		mc.dataIssued++
 	} else {
 		mc.counterIssued++
 	}
-	mc.dev.Write(e.addr, e.data, e.nbytes, e.tag, e.sum, func() {
-		mc.persistEpoch() // the write just landed in the device image
-		e.done = true
-		if isData {
-			mc.dataIssued--
-		} else {
-			mc.counterIssued--
-		}
-		if e.syncCtr {
-			mc.syncCoLocatedCounter(e.addr, e.tag, mc.eng.Now())
-		}
-		mc.retire(isData)
-	})
+	mc.dev.Write(e.addr, e.data, int(e.nbytes), e.tag, e.sum, mc.evH, evArg(evWritten, i))
+}
+
+// written completes entry i's device write.
+func (mc *Controller) written(i int32) {
+	mc.persistEpoch() // the write just landed in the device image
+	e := &mc.entries[i]
+	e.done = true
+	isData := e.isData
+	if isData {
+		mc.dataIssued--
+	} else {
+		mc.counterIssued--
+	}
+	if e.syncCtr {
+		mc.syncCoLocatedCounter(e.addr, e.tag, mc.eng.Now())
+	}
+	mc.retire(isData)
 }
 
 // retire drops completed entries back into the pool, then re-runs the
@@ -937,16 +1067,13 @@ func (mc *Controller) retire(isData bool) {
 		q = mc.counterQ
 	}
 	n := 0
-	for _, e := range q {
-		if e.done {
-			mc.putEntry(e)
+	for _, i := range q {
+		if mc.entries[i].done {
+			mc.putEntry(i)
 		} else {
-			q[n] = e
+			q[n] = i
 			n++
 		}
-	}
-	for i := n; i < len(q); i++ {
-		q[i] = nil
 	}
 	if isData {
 		mc.dataQ = q[:n]
@@ -1010,8 +1137,9 @@ func (mc *Controller) touchCounterCacheForWrite(addr mem.Addr) {
 	}
 	mc.st.Inc(stats.CounterCacheMiss, 1)
 	if mc.meta.SeparateCounterWrites {
-		// Background fill of the other seven counters in the line.
-		mc.dev.Read(cl, 64, func(mem.Line, bool) {})
+		// Background fill of the other seven counters in the line; its
+		// completion posts an event that runs nothing.
+		mc.dev.Read(cl, 64, sim.NoHandler, 0)
 	}
 	if mc.meta.CoLocatesCounters {
 		mc.ctrC.Clean(cl) // co-located counters persist with their data
@@ -1028,7 +1156,7 @@ func (mc *Controller) evictCounterVictim(res cache.AccessResult) {
 	}
 	mc.persistEpoch() // the dirty counter-cache set just shrank
 	mc.st.Inc(stats.CounterCacheWB, 1)
-	mc.enqueueCounterWrite(res.Victim, nil)
+	mc.enqueueCounterWrite(res.Victim, sim.NoHandler, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,8 +1184,8 @@ func (mc *Controller) QueueOccupancy() (data, counter int) {
 // crash instant. Entries awaiting acceptance are volatile and are lost.
 // Because CA pairs are accepted atomically, no half-pair can be resident.
 func (mc *Controller) DrainADR(at sim.Time) {
-	for _, e := range mc.dataQ {
-		if !e.done {
+	for _, i := range mc.dataQ {
+		if e := &mc.entries[i]; !e.done {
 			mc.dev.WriteAt(e.addr, e.data, e.tag, e.sum, at)
 			if e.syncCtr {
 				// Co-located entries carry their counter in the
@@ -1066,8 +1194,8 @@ func (mc *Controller) DrainADR(at sim.Time) {
 			}
 		}
 	}
-	for _, e := range mc.counterQ {
-		if !e.done {
+	for _, i := range mc.counterQ {
+		if e := &mc.entries[i]; !e.done {
 			mc.dev.WriteAt(e.addr, e.data, 0, 0, at)
 		}
 	}
@@ -1084,25 +1212,32 @@ func (mc *Controller) DirtyCounterLines() []mem.Addr {
 }
 
 // FlushCounters writes back every dirty counter line (graceful shutdown),
-// making the NVM image fully self-consistent. accepted fires once all
-// flushes are accepted.
-func (mc *Controller) FlushCounters(accepted func()) {
-	if mc.ctrC == nil {
-		mc.eng.Schedule(0, accepted)
+// making the NVM image fully self-consistent. (accepted, arg) is called
+// once all flushes are accepted — posted at once when there is nothing to
+// flush. One flush may be in flight at a time.
+func (mc *Controller) FlushCounters(accepted sim.Handler, arg uint64) {
+	if mc.flushLeft > 0 {
+		panic("memctrl: FlushCounters while a flush is in flight")
+	}
+	var lines []mem.Addr
+	if mc.ctrC != nil {
+		lines = mc.ctrC.CleanAll()
+	}
+	if len(lines) == 0 {
+		mc.eng.Post(0, accepted, arg)
 		return
 	}
-	lines := mc.ctrC.CleanAll()
-	remaining := len(lines)
-	if remaining == 0 {
-		mc.eng.Schedule(0, accepted)
-		return
-	}
+	mc.flushLeft, mc.flushDone, mc.flushArg = len(lines), accepted, arg
 	for _, cl := range lines {
-		mc.enqueueCounterWrite(cl, func() {
-			remaining--
-			if remaining == 0 {
-				accepted()
-			}
-		})
+		mc.enqueueCounterWrite(cl, mc.evH, evArg(evFlushAccepted, 0))
+	}
+}
+
+// flushAccepted counts one accepted flush write and completes the flush
+// on the last.
+func (mc *Controller) flushAccepted() {
+	mc.flushLeft--
+	if mc.flushLeft == 0 {
+		mc.eng.Call(mc.flushDone, mc.flushArg)
 	}
 }

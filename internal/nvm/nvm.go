@@ -26,15 +26,16 @@ type Device struct {
 	timing  config.NVMTiming
 	layout  mem.Layout
 
-	// Each bank tracks read and write occupancy separately, modeling
-	// PCM write pausing: a read preempts an in-progress array write, so
-	// reads contend only with other reads on the bank while writes
-	// serialize among themselves. Without this, the 300ns PCM write
-	// recovery would dominate every read and mask the decryption-latency
-	// effects the paper measures.
-	readBanks  []sim.Resource
-	writeBanks []sim.Resource
-	bus        sim.Resource
+	banks []bank
+	bus   sim.Resource
+
+	// writes holds the in-flight device writes; a completion event's
+	// argument is its record's index. freeWrite heads the free list
+	// threaded through the records' next fields (-1 when empty); a write
+	// finding it empty appends a record.
+	writes    []inflightWrite
+	freeWrite int32
+	writtenH  sim.Handler
 
 	image *mem.Image
 	st    *stats.Stats
@@ -59,17 +60,50 @@ func New(eng *sim.Engine, cfg *config.Config, st *stats.Stats) *Device {
 // backend. Everything else — banks, bus, functional image, wear — is
 // technology-independent.
 func NewWithBackend(eng *sim.Engine, cfg *config.Config, b Backend, st *stats.Stats) *Device {
-	return &Device{
-		eng:        eng,
-		cfg:        cfg,
-		backend:    b,
-		timing:     b.Timing(cfg),
-		layout:     mem.NewLayout(cfg.MemoryBytes),
-		readBanks:  make([]sim.Resource, cfg.Banks),
-		writeBanks: make([]sim.Resource, cfg.Banks),
-		image:      mem.NewImage(),
-		st:         st,
+	d := &Device{
+		eng:       eng,
+		cfg:       cfg,
+		backend:   b,
+		timing:    b.Timing(cfg),
+		layout:    mem.NewLayout(cfg.MemoryBytes),
+		banks:     make([]bank, cfg.Banks),
+		image:     mem.NewImage(),
+		st:        st,
+		freeWrite: -1, // empty free list
 	}
+	d.writtenH = eng.Register(d.written)
+	return d
+}
+
+// ReserveWrites sizes the in-flight write slab so that n writes can be
+// in flight without reallocation. The memory controller calls it once,
+// with its issue widths, when it is built.
+func (d *Device) ReserveWrites(n int) {
+	if cap(d.writes)-len(d.writes) < n {
+		d.writes = append(make([]inflightWrite, 0, len(d.writes)+n), d.writes...)
+	}
+}
+
+// bank tracks one bank's read and write occupancy separately, modeling
+// PCM write pausing: a read preempts an in-progress array write, so
+// reads contend only with other reads on the bank while writes serialize
+// among themselves. Without this, the 300ns PCM write recovery would
+// dominate every read and mask the decryption-latency effects the paper
+// measures.
+type bank struct {
+	read, write sim.Resource
+}
+
+// inflightWrite is one device write between issue and landing: what the
+// image records when it lands, and the owner's completion.
+type inflightWrite struct {
+	addr mem.Addr
+	data mem.Line
+	tag  uint64
+	arg  uint64
+	sum  uint16
+	next int32 // free-list link while the record is unused
+	done sim.Handler
 }
 
 // Layout returns the device's data/counter address layout.
@@ -90,18 +124,19 @@ func (d *Device) Image() *mem.Image { return d.image }
 func (d *Device) bankIndex(addr mem.Addr) int {
 	idx := addr.LineIndex()
 	h := idx ^ idx>>7 ^ idx>>13 ^ idx>>19
-	return int(h % uint64(len(d.readBanks)))
+	return int(h % uint64(len(d.banks)))
 }
 
-// Read schedules a read of the line at addr. done fires at the completion
-// time with the line contents currently in NVM (zero line if never
-// written). nbytes is the access size (64, or 72 when counters are
-// co-located) and only affects bus occupancy.
-func (d *Device) Read(addr mem.Addr, nbytes int, done func(data mem.Line, ok bool)) {
+// Read schedules a read of the line at addr and posts (h, arg) at its
+// completion time. The data itself flows through the replay engine's
+// plaintext image; the device provides timing and traffic. nbytes is the
+// access size (64, or 72 when counters are co-located) and only affects
+// bus occupancy.
+func (d *Device) Read(addr mem.Addr, nbytes int, h sim.Handler, arg uint64) {
 	addr = addr.LineAddr()
 	now := d.eng.Now()
 	bank := d.bankIndex(addr)
-	bankStart, bankEnd := d.readBanks[bank].Reserve(now, d.timing.TRCD+d.timing.TCL)
+	bankStart, bankEnd := d.banks[bank].read.Reserve(now, d.timing.TRCD+d.timing.TCL)
 	busStart, busEnd := d.bus.Reserve(bankEnd, d.cfg.BurstTime(nbytes))
 	if d.pb != nil {
 		d.pb.BankBusy(false, bank, uint64(addr), bankStart, bankEnd)
@@ -112,24 +147,22 @@ func (d *Device) Read(addr mem.Addr, nbytes int, done func(data mem.Line, ok boo
 	d.st.Inc(stats.BytesRead, uint64(nbytes))
 	d.st.Observe(stats.NVMReadLatency, busEnd-now)
 
-	d.eng.At(busEnd, func() {
-		data, ok := d.image.Read(addr)
-		done(data, ok)
-	})
+	d.eng.PostAt(busEnd, h, arg)
 }
 
 // Write schedules a write of the line at addr. The data becomes persistent
-// (lands in the image) at the completion time, when done fires. nbytes is
-// the access size for bus occupancy and traffic accounting; the stats
+// (lands in the image) at the completion time, and the device then calls
+// (h, arg) in the same event; NoHandler calls nothing. nbytes is the
+// access size for bus occupancy and traffic accounting; the stats
 // classify traffic as data or counter by address region. tag is the
 // ground-truth encryption counter recorded with the image write (0 when
 // not applicable).
-func (d *Device) Write(addr mem.Addr, data mem.Line, nbytes int, tag uint64, sum uint16, done func()) {
+func (d *Device) Write(addr mem.Addr, data mem.Line, nbytes int, tag uint64, sum uint16, h sim.Handler, arg uint64) {
 	addr = addr.LineAddr()
 	now := d.eng.Now()
 	bank := d.bankIndex(addr)
 	busStart, busEnd := d.bus.Reserve(now, d.cfg.BurstTime(nbytes))
-	bankStart, bankEnd := d.writeBanks[bank].Reserve(busEnd, d.timing.TCWD+d.timing.TWR)
+	bankStart, bankEnd := d.banks[bank].write.Reserve(busEnd, d.timing.TCWD+d.timing.TWR)
 	if d.pb != nil {
 		d.pb.BusBusy(uint64(addr), busStart, busEnd)
 		d.pb.BankBusy(true, bank, uint64(addr), bankStart, bankEnd)
@@ -145,12 +178,28 @@ func (d *Device) Write(addr mem.Addr, data mem.Line, nbytes int, tag uint64, sum
 	d.st.Observe(stats.NVMWriteLatency, bankEnd-now)
 	*d.wear.Ptr(addr)++
 
-	d.eng.At(bankEnd, func() {
-		d.image.ApplyFull(addr, data, bankEnd, tag, sum)
-		if done != nil {
-			done()
-		}
-	})
+	i := d.freeWrite
+	if i >= 0 {
+		d.freeWrite = d.writes[i].next
+	} else {
+		i = int32(len(d.writes))
+		d.writes = append(d.writes, inflightWrite{})
+	}
+	d.writes[i] = inflightWrite{addr: addr, data: data, tag: tag, arg: arg, sum: sum, done: h}
+	d.eng.PostAt(bankEnd, d.writtenH, uint64(i))
+}
+
+// written lands the in-flight write i in the image (its completion event
+// fires at the landing time) and hands completion to its owner. The
+// record is free again before the owner runs, so the owner may issue the
+// next write into it.
+func (d *Device) written(i uint64) {
+	w := &d.writes[i]
+	d.image.ApplyFull(w.addr, w.data, d.eng.Now(), w.tag, w.sum)
+	h, arg := w.done, w.arg
+	w.next = d.freeWrite
+	d.freeWrite = int32(i)
+	d.eng.Call(h, arg)
 }
 
 // WriteAt records a write that is already persistent at time at, bypassing

@@ -48,9 +48,21 @@ type System struct {
 	// CounterAtomic variable; their writebacks use the CA protocol.
 	caLine mem.Table[bool]
 
+	// Handlers registered once per System; each event's argument is the
+	// index of the core it concerns.
+	stepH, writebackH, readDoneH sim.Handler
+
 	finished int
 	started  bool
 	flushed  bool
+	// The end-of-run flush writes lines back through a bounded window:
+	// flushNext indexes the next line to write, flushInFlight counts
+	// writes not yet accepted, and flushH is their acceptance handler,
+	// registered by flush (crash injections never flush).
+	flushLines    []mem.Addr
+	flushNext     int
+	flushInFlight int
+	flushH        sim.Handler
 	// firstTx is when the first TxBegin retired on any core; the
 	// measured phase of a run (the paper's methodology) excludes the
 	// setup that precedes it.
@@ -67,13 +79,6 @@ type core struct {
 	n   int      // src.Len(), cached for the hot loop
 	cur trace.Op // scratch decode target; src.Op(pc, &cur) is allocation-free
 	pc  int
-
-	// stepFn and writebackDoneFn are c.step and c.writebackDone bound
-	// once at attach: a method value allocates each time it is taken,
-	// and the hot loop hands them to the engine and the controller once
-	// per scheduled op and per tracked writeback.
-	stepFn          func()
-	writebackDoneFn func()
 
 	// retire, when non-nil, records the retire instant of every op (the
 	// simulated time by which the op's effects are in the machine and
@@ -132,6 +137,9 @@ func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 		l2:    m.L2,
 		plain: mem.NewSpace(),
 	}
+	sys.stepH = sys.Eng.Register(sys.step)
+	sys.writebackH = sys.Eng.Register(sys.writebackDone)
+	sys.readDoneH = sys.Eng.Register(sys.readDone)
 	totalOps := 0
 	for i, s := range srcs {
 		src := trace.Source(s) // a type parameter does not compare with nil
@@ -147,7 +155,6 @@ func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 			sys: sys, id: i, l1: cache.New(cfg.L1), src: src, n: src.Len(),
 			txEnds: make([]sim.Time, txEnds),
 		}
-		c.stepFn, c.writebackDoneFn = c.step, c.writebackDone
 		sys.cores = append(sys.cores, c)
 	}
 	// The event queue holds in-flight events (bounded by cores plus
@@ -248,7 +255,7 @@ func (s *System) Start() {
 	}
 	s.started = true
 	for _, c := range s.cores {
-		s.Eng.Schedule(0, c.stepFn)
+		c.next(0)
 	}
 }
 
@@ -334,30 +341,35 @@ func (s *System) flush() {
 	for _, a := range s.l2.CleanAll() {
 		dirty.Ptr(a)
 	}
-	lines := make([]mem.Addr, 0, dirty.Len())
-	dirty.Each(func(a mem.Addr, _ *struct{}) { lines = append(lines, a) })
+	s.flushLines = make([]mem.Addr, 0, dirty.Len())
+	dirty.Each(func(a mem.Addr, _ *struct{}) { s.flushLines = append(s.flushLines, a) })
+	s.flushH = s.Eng.Register(s.flushAccepted)
+	s.Eng.Schedule(0, s.pumpFlush)
+}
 
-	// Pace the writebacks with a bounded window so a multi-megabyte
-	// dirty set does not flood the controller's accept queue at a
-	// single instant (the flush is outside the measured runtime).
-	const flushWindow = 64
-	next, inFlight := 0, 0
-	var pump func()
-	pump = func() {
-		for inFlight < flushWindow && next < len(lines) {
-			a := lines[next]
-			next++
-			inFlight++
-			s.MC.Write(a, s.plain.ReadLine(a), s.counterAtomic(a), func() {
-				inFlight--
-				pump()
-			})
-		}
-		if next == len(lines) && inFlight == 0 {
-			s.MC.FlushCounters(func() {})
-		}
+// flushWindow paces the final writebacks so a multi-megabyte dirty set
+// does not flood the controller's accept queue at a single instant (the
+// flush is outside the measured runtime).
+const flushWindow = 64
+
+// pumpFlush writes back dirty lines while the window has room, and
+// flushes the counter cache once every line is accepted.
+func (s *System) pumpFlush() {
+	for s.flushInFlight < flushWindow && s.flushNext < len(s.flushLines) {
+		a := s.flushLines[s.flushNext]
+		s.flushNext++
+		s.flushInFlight++
+		s.MC.Write(a, s.plain.ReadLine(a), s.counterAtomic(a), s.flushH, 0)
 	}
-	s.Eng.Schedule(0, pump)
+	if s.flushNext == len(s.flushLines) && s.flushInFlight == 0 {
+		s.MC.FlushCounters(sim.NoHandler, 0)
+	}
+}
+
+// flushAccepted is the acceptance handler for the flush's writebacks.
+func (s *System) flushAccepted(uint64) {
+	s.flushInFlight--
+	s.pumpFlush()
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +511,7 @@ func (c *core) step() {
 
 	case trace.CCWB:
 		c.outstanding++
-		c.sys.MC.CounterWriteback(op.Addr, c.writebackDoneFn)
+		c.sys.MC.CounterWriteback(op.Addr, c.sys.writebackH, uint64(c.id))
 		c.next(cfg.CounterCache.HitTime)
 
 	default:
@@ -508,7 +520,13 @@ func (c *core) step() {
 }
 
 // next schedules the following op after the given delay.
-func (c *core) next(d sim.Time) { c.sys.Eng.Schedule(d, c.stepFn) }
+func (c *core) next(d sim.Time) { c.sys.Eng.Post(d, c.sys.stepH, uint64(c.id)) }
+
+// step, writebackDone and readDone are the System's registered handlers;
+// each runs its namesake on core i.
+func (s *System) step(i uint64)          { s.cores[i].step() }
+func (s *System) writebackDone(i uint64) { s.cores[i].writebackDone() }
+func (s *System) readDone(i uint64)      { s.cores[i].next(0) }
 
 // read services a load: L1, then L2, then a blocking memory fetch.
 func (c *core) read(addr mem.Addr) {
@@ -527,7 +545,7 @@ func (c *core) read(addr mem.Addr) {
 		return
 	}
 	c.sys.St.Inc(stats.L2Misses, 1)
-	c.sys.MC.Read(addr, func() { c.next(0) })
+	c.sys.MC.Read(addr, c.sys.readDoneH, uint64(c.id))
 }
 
 // write services a store: update the plaintext image and the hierarchy.
@@ -552,7 +570,7 @@ func (c *core) write(op trace.Op) {
 		sys.St.Inc(stats.L2Misses, 1)
 		// Write-allocate fill traffic; the store buffer hides its
 		// latency from the core.
-		sys.MC.Read(addr, func() {})
+		sys.MC.Read(addr, sim.NoHandler, 0)
 	}
 	c.next(sys.Cfg.L1.HitTime + sys.Cfg.L2.HitTime)
 }
@@ -567,7 +585,7 @@ func (c *core) clwb(addr mem.Addr) {
 	if d1 || d2 {
 		c.outstanding++
 		sys.St.Inc(stats.Clwbs, 1)
-		sys.MC.Write(line, sys.plain.ReadLine(line), sys.counterAtomic(line), c.writebackDoneFn)
+		sys.MC.Write(line, sys.plain.ReadLine(line), sys.counterAtomic(line), sys.writebackH, uint64(c.id))
 	}
 	c.next(sys.Cfg.L1.HitTime)
 }
@@ -615,7 +633,7 @@ func (c *core) l2Access(addr mem.Addr, write bool) cache.AccessResult {
 	res := sys.l2.Access(addr, write)
 	if res.VictimValid && res.VictimDirty {
 		v := res.Victim
-		sys.MC.Write(v, sys.plain.ReadLine(v), sys.counterAtomic(v), nil)
+		sys.MC.Write(v, sys.plain.ReadLine(v), sys.counterAtomic(v), sim.NoHandler, 0)
 	}
 	return res
 }

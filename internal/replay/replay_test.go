@@ -443,20 +443,14 @@ func TestBatchBoundKeepsInterleaving(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the whole per-op path below core.step, on
-// every registry engine, at the mallocs the runtime counts over the last
-// quarter of a warm arrayswap replay. RunUntil resumes one replay, so
-// the window sees only steady-state work; AllocsPerRun is not used
-// because its warm-up call would consume the window. What allocates:
-// the per-event closures of memctrl and nvm and replay.core.read's
-// completion, OTP's two escaping blocks per encryption, and the
-// counter queue's makeEligible closures and tryIssue method values.
+// every registry engine, at zero mallocs over the last quarter of a warm
+// arrayswap replay, as the runtime counts them. RunUntil resumes one
+// replay, so the window sees only steady-state work; AllocsPerRun is not
+// used because its warm-up call would consume the window. Every event on
+// the path names a handler registered at construction, and every
+// in-flight record lives in a pre-sized slab.
 // Not parallel: Mallocs is process-wide.
 func TestSteadyStateAllocs(t *testing.T) {
-	pins := map[string]uint64{
-		"noenc": 4398, "secpm": 13730, "osiris": 13749,
-		"colocated": 14379, "colocatedcc": 14379, "bmt": 22793,
-		"sca": 22810, "ideal": 22837, "fca": 31042,
-	}
 	w, err := workloads.ByName("arrayswap")
 	if err != nil {
 		t.Fatal(err)
@@ -467,11 +461,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	w.Run(rt, p)
 	tr := rt.Trace()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	names := machine.Names()
-	if len(names) != len(pins) {
-		t.Fatalf("%d pins for %d registry engines %v", len(pins), len(names), names)
-	}
-	for _, name := range names {
+	for _, name := range machine.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			build := func() *System {
@@ -498,8 +488,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 			sys.RunUntil(end)
 			runtime.ReadMemStats(&after)
 			got := after.Mallocs - before.Mallocs
-			if pin, ok := pins[name]; !ok || got > pin {
-				t.Errorf("last quarter of the replay allocates %d times, pin %d", got, pin)
+			if got > 0 {
+				t.Errorf("last quarter of the replay allocates %d times, pin 0", got)
 			}
 		})
 	}

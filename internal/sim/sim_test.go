@@ -70,7 +70,7 @@ func TestSchedulePastPanics(t *testing.T) {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
+		e.PostAt(50, NoHandler, 0)
 	})
 	e.Run()
 }
@@ -118,7 +118,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		e.Schedule(at, func() { fired = append(fired, at) })
 	}
 	now := e.RunUntil(25)
 	if now != 25 {
@@ -239,9 +239,9 @@ func TestOnAdvanceFiresOnForwardJumpsOnly(t *testing.T) {
 	e := New()
 	var jumps []Time
 	e.OnAdvance(func(next Time) { jumps = append(jumps, next) })
-	e.At(10, func() {})
-	e.At(10, func() {}) // same instant: no extra hook call
-	e.At(25, func() {})
+	e.Schedule(10, func() {})
+	e.Schedule(10, func() {}) // same instant: no extra hook call
+	e.Schedule(25, func() {})
 	e.Run()
 	if len(jumps) != 2 || jumps[0] != 10 || jumps[1] != 25 {
 		t.Fatalf("jumps = %v, want [10 25]", jumps)
@@ -252,7 +252,7 @@ func TestOnAdvanceSeesPreJumpState(t *testing.T) {
 	e := New()
 	var nowAtHook Time
 	e.OnAdvance(func(next Time) { nowAtHook = e.Now() })
-	e.At(40, func() {})
+	e.Schedule(40, func() {})
 	e.Run()
 	// The hook runs before the clock moves: Now() is still the old time.
 	if nowAtHook != 0 {
@@ -264,7 +264,7 @@ func TestOnAdvanceFiresForRunUntilDeadline(t *testing.T) {
 	e := New()
 	var jumps []Time
 	e.OnAdvance(func(next Time) { jumps = append(jumps, next) })
-	e.At(5, func() {})
+	e.Schedule(5, func() {})
 	e.RunUntil(100) // idle advance to the deadline must fire the hook too
 	if len(jumps) != 2 || jumps[0] != 5 || jumps[1] != 100 {
 		t.Fatalf("jumps = %v, want [5 100]", jumps)
@@ -272,16 +272,67 @@ func TestOnAdvanceFiresForRunUntilDeadline(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the event loop at zero allocations per
-// event: At stores events by value in the queue ReserveEvents sized, and
-// Run pops them in place. Only grow, the cold doubling path, allocates.
+// event, on both paths in: PostAt stores events by value in the queue
+// ReserveEvents sized, and Run pops them in place; Schedule reuses a
+// free closure slot. Only the cold growth paths allocate.
 func TestSteadyStateAllocs(t *testing.T) {
 	e := New()
 	e.ReserveEvents(1)
+	h := e.Register(func(uint64) {})
+	if got := testing.AllocsPerRun(100, func() {
+		e.Post(Nanosecond, h, 7)
+		e.Run()
+	}); got > 0 {
+		t.Errorf("Post+Run allocates %v times per event, pin 0", got)
+	}
 	fn := func() {}
 	if got := testing.AllocsPerRun(100, func() {
 		e.Schedule(Nanosecond, fn)
 		e.Run()
 	}); got > 0 {
 		t.Errorf("Schedule+Run allocates %v times per event, pin 0", got)
+	}
+}
+
+func TestHandlerReceivesArg(t *testing.T) {
+	e := New()
+	var got []uint64
+	h := e.Register(func(arg uint64) { got = append(got, arg) })
+	e.Post(20, h, 2)
+	e.Post(10, h, 1)
+	e.PostAt(20, h, 3)
+	e.Post(10, NoHandler, 9) // fires, runs nothing
+	e.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("handler args = %v, want [1 2 3]", got)
+	}
+	if e.Steps() != 4 {
+		t.Fatalf("steps = %d, want 4 (a NoHandler event still fires)", e.Steps())
+	}
+}
+
+func TestCallRunsInline(t *testing.T) {
+	e := New()
+	var got []uint64
+	h := e.Register(func(arg uint64) { got = append(got, arg) })
+	e.Call(h, 5)
+	e.Call(NoHandler, 6)
+	if len(got) != 1 || got[0] != 5 || e.Steps() != 0 || e.Pending() != 0 {
+		t.Fatalf("Call: got %v, steps %d, pending %d", got, e.Steps(), e.Pending())
+	}
+}
+
+func TestZeroValueEngine(t *testing.T) {
+	var e Engine
+	var order []int
+	e.Schedule(5, func() { order = append(order, 2) })
+	h := e.Register(func(arg uint64) { order = append(order, int(arg)) })
+	e.Post(1, h, 1)
+	e.Post(9, NoHandler, 0)
+	if e.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3", e.Pending())
+	}
+	if end := e.Run(); end != 9 || len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("zero-value engine ran %v, ended at %d", order, end)
 	}
 }
