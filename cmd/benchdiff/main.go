@@ -10,8 +10,10 @@
 //	# compare: old vs new, gate on ns/op noise tolerance
 //	benchdiff BENCH_baseline.json bench_head.json
 //
-// A metric the old file lacks (absent or zero) is reported but never
-// gated, so a baseline can leave out ns/op where it holds no bound.
+// A metric the old file lacks is reported but never gated, so a
+// baseline can leave out ns/op where it holds no bound. A metric the old
+// file records as an explicit zero gates any nonzero new value, so a
+// baseline of 0 allocs/op holds allocations out.
 //
 // Exit status: 0 when every gated metric is within tolerance, 1 on a
 // regression, 2 on a usage error or an unreadable or malformed file.
@@ -24,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -45,8 +48,8 @@ type File struct {
 }
 
 // Bench holds one benchmark's standard and custom metrics. Standard
-// metrics use zero as "absent" (testing never reports a true zero
-// ns/op); custom metrics keep their unit string as the key.
+// metrics read zero when absent, and a zero is written as absent;
+// custom metrics keep their unit string as the key.
 type Bench struct {
 	Iterations  int64              `json:"iterations,omitempty"`
 	NsPerOp     float64            `json:"ns_per_op,omitempty"`
@@ -54,6 +57,27 @@ type Bench struct {
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	MBPerSec    float64            `json:"mb_per_s,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+
+	// named holds the JSON keys a decoded file set, so that compare can
+	// tell an explicit zero from an absent field.
+	named map[string]bool
+}
+
+// UnmarshalJSON decodes a Bench and records which keys it named.
+func (b *Bench) UnmarshalJSON(data []byte) error {
+	type plain Bench
+	if err := json.Unmarshal(data, (*plain)(b)); err != nil {
+		return err
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return err
+	}
+	b.named = make(map[string]bool, len(keys))
+	for k := range keys {
+		b.named[k] = true
+	}
+	return nil
 }
 
 // gomaxprocsSuffix is the -N testing appends to benchmark names; it is
@@ -180,20 +204,25 @@ func compare(oldF, newF *File, tol tolerances) (rows []delta, missing, added []s
 			continue
 		}
 		gated := tol.gate == nil || tol.gate.MatchString(name)
-		add := func(metric string, o, n, t float64) {
+		// explicitZero marks a baseline of 0 that the old file names: any
+		// nonzero new value exceeds it.
+		add := func(metric string, o, n, t float64, explicitZero bool) {
 			if o == 0 && n == 0 {
 				return
 			}
 			d := delta{bench: name, metric: metric, old: o, new: n, gated: gated && t > 0}
-			if o != 0 {
+			switch {
+			case o != 0:
 				d.relative = (n - o) / o
+			case explicitZero:
+				d.relative = math.Inf(1)
 			}
-			d.regressed = d.gated && o != 0 && d.relative > t
+			d.regressed = d.gated && d.relative > t
 			rows = append(rows, d)
 		}
-		add("ns/op", ob.NsPerOp, nb.NsPerOp, tol.ns)
-		add("B/op", ob.BytesPerOp, nb.BytesPerOp, tol.mem)
-		add("allocs/op", ob.AllocsPerOp, nb.AllocsPerOp, tol.mem)
+		add("ns/op", ob.NsPerOp, nb.NsPerOp, tol.ns, ob.named["ns_per_op"])
+		add("B/op", ob.BytesPerOp, nb.BytesPerOp, tol.mem, ob.named["b_per_op"])
+		add("allocs/op", ob.AllocsPerOp, nb.AllocsPerOp, tol.mem, ob.named["allocs_per_op"])
 		units := make(map[string]bool)
 		for u := range ob.Metrics {
 			units[u] = true
@@ -207,7 +236,8 @@ func compare(oldF, newF *File, tol tolerances) (rows []delta, missing, added []s
 		}
 		sort.Strings(sortedUnits)
 		for _, u := range sortedUnits {
-			add(u, ob.Metrics[u], nb.Metrics[u], tol.metric)
+			o, named := ob.Metrics[u]
+			add(u, o, nb.Metrics[u], tol.metric, named)
 		}
 	}
 	return rows, missing, added

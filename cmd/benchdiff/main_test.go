@@ -186,6 +186,36 @@ func TestDiffAbsentBaselineValueUngated(t *testing.T) {
 	}
 }
 
+// TestDiffExplicitZeroBaselineGated: a baseline that records 0 B/op
+// and 0 allocs/op, as BENCH_baseline.json does for BenchmarkEncryptLine,
+// fails a head that allocates again. Absent fields stay ungated
+// (TestDiffAbsentBaselineValueUngated).
+func TestDiffExplicitZeroBaselineGated(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	base := `{"schema": "encnvm/bench/v1", "benchmarks": {"BenchmarkEncryptLine": ` +
+		`{"iterations": 1545505, "ns_per_op": 238.7, "b_per_op": 0, "allocs_per_op": 0, "mb_per_s": 268.13}}}`
+	if err := os.WriteFile(oldPath, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, line string
+		want       int
+	}{
+		{"allocating again", "BenchmarkEncryptLine-8 1000000 240.1 ns/op 268.0 MB/s 160 B/op 5 allocs/op", 1},
+		{"still zero", "BenchmarkEncryptLine-8 1000000 240.1 ns/op 268.0 MB/s 0 B/op 0 allocs/op", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newPath := filepath.Join(t.TempDir(), "new.json")
+			writeBenchFile(t, newPath, tc.line+"\n")
+			var out, errb bytes.Buffer
+			if code := run([]string{"-tol-mem", "0.10", "-gate", "BenchmarkEncryptLine", oldPath, newPath}, &out, &errb); code != tc.want {
+				t.Errorf("exit = %d, want %d\nstdout: %s\nstderr: %s", code, tc.want, out.String(), errb.String())
+			}
+		})
+	}
+}
+
 func TestDiffUsageAndParseErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"only-one.json"}, &out, &errb); code != 2 {

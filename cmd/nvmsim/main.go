@@ -191,7 +191,7 @@ func main() {
 
 	if *manifestOut != "" || *jsonOut {
 		m := core.BuildManifest(res, params.WithDefaults())
-		m.Host = hostBlock()
+		m.Host = perf.ReadBuild()
 		if *manifestOut != "" {
 			f, err := os.Create(*manifestOut)
 			if err == nil {
@@ -239,19 +239,5 @@ func main() {
 	if err := session.End(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-}
-
-// hostBlock stamps the manifest's optional provenance block from the
-// running binary's build info.
-func hostBlock() *probe.ManifestHost {
-	b := perf.ReadBuild()
-	return &probe.ManifestHost{
-		GoVersion:   b.GoVersion,
-		Module:      b.Module,
-		Version:     b.Version,
-		VCSRevision: b.VCSRevision,
-		VCSTime:     b.VCSTime,
-		VCSModified: b.VCSModified,
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"os"
 	"sort"
 
+	"encnvm/internal/core"
 	"encnvm/internal/perf"
-	"encnvm/internal/probe"
 )
 
 func main() {
@@ -101,13 +101,13 @@ func main() {
 	}
 }
 
-func load(path string) (*probe.Manifest, error) {
+func load(path string) (*core.Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	m, err := probe.DecodeManifest(f)
+	m, err := core.DecodeManifest(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -9,12 +9,11 @@
 //	          [-mode undo|redo] [-legacy] [-check]
 //	traceinfo -in run.bin [-check]
 //
-// With -in, the trace is read from a binary trace file recorded by
+// With -in, the traces are decoded from a binary trace file recorded by
 // nvmsim -record-trace (or trace.WriteTracesFile) instead of being
-// generated, and every core in the file is analyzed; records are decoded
-// in place from the mapped bytes, never materialized into a trace.Trace.
-// The setup/heap lines only appear in generated mode — a recorded file
-// does not mark the setup boundary.
+// generated, and every core in the file is analyzed the same way a
+// generated trace is. The setup/heap lines only appear in generated
+// mode — a recorded file does not mark the setup boundary.
 //
 // With -check, the trace is additionally linted by internal/check against
 // the crash-consistency ordering rules R1–R5 (§4.2–§4.3) and the command
@@ -69,20 +68,20 @@ func main() {
 	}
 
 	if *in != "" {
-		// Recorded-trace mode: decode in place and analyze every core.
-		// NewBinReader already validated structure, so no Validate gate.
-		readers, err := trace.ReadTracesFile(*in)
+		// Recorded-trace mode: decoding checks every core's trace.
+		traces, err := trace.ReadTracesFile(*in)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace invalid: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("trace file      %s (%d cores, binary records)\n", *in, len(readers))
+		fmt.Printf("trace file      %s (%d cores, binary records)\n", *in, len(traces))
 		bad := false
-		for i, r := range readers {
+		for i, tr := range traces {
 			fmt.Printf("\n=== core %d ===\n", i)
-			fmt.Printf("trace length    %d ops\n", r.Len())
-			analyze(r, 0, false)
-			if *doCheck && lint(r, nil) {
+			fmt.Printf("trace length    %d ops\n", tr.Len())
+			footprint(tr)
+			analyze(tr, 0)
+			if *doCheck && lint(tr, nil) {
 				bad = true
 			}
 		}
@@ -126,12 +125,9 @@ func main() {
 
 	fmt.Printf("workload        %s (mode=%v, legacy=%v)\n", w.Name(), txMode, *legacy)
 	fmt.Printf("trace length    %d ops (%d setup + %d measured)\n", tr.Len(), setupLen, tr.Len()-setupLen)
-	fmt.Printf("transactions    %d\n", tr.Transactions())
-	fmt.Printf("data footprint  %d lines (%.1f KB)\n", tr.FootprintLines(),
-		float64(tr.FootprintLines())*mem.LineBytes/1024)
+	footprint(tr)
 	fmt.Printf("heap used       %.1f KB\n", float64(rt.HeapUsed())/1024)
-
-	analyze(tr, setupLen, true)
+	analyze(tr, setupLen)
 
 	if *doCheck {
 		arena := rt.Arena()
@@ -141,18 +137,18 @@ func main() {
 	}
 }
 
-// analyze prints the op histogram and persist-primitive shape of one
-// core's trace through the cursor interface. When header is false the
-// transactions/footprint lines were not printed by the caller, so they
-// are emitted here (the -in path).
-func analyze(tr trace.Source, setupLen int, header bool) {
-	if !header {
-		fmt.Printf("transactions    %d\n", trace.TransactionsOf(tr))
-		fmt.Printf("data footprint  %d lines (%.1f KB)\n", trace.FootprintLinesOf(tr),
-			float64(trace.FootprintLinesOf(tr))*mem.LineBytes/1024)
-	}
+// footprint prints a trace's transaction count and data footprint.
+func footprint(tr *trace.Trace) {
+	fmt.Printf("transactions    %d\n", tr.Transactions())
+	lines := tr.FootprintLines()
+	fmt.Printf("data footprint  %d lines (%.1f KB)\n", lines, float64(lines)*mem.LineBytes/1024)
+}
 
-	counts := trace.CountsOf(tr)
+// analyze prints the op histogram and persist-primitive shape of one
+// core's trace; per-transaction averages count only the ops after
+// setupLen.
+func analyze(tr *trace.Trace, setupLen int) {
+	counts := tr.Counts()
 	fmt.Println("\nop histogram:")
 	for _, k := range []trace.Kind{trace.Read, trace.Write, trace.Clwb, trace.CCWB,
 		trace.Sfence, trace.Compute, trace.TxBegin, trace.TxEnd} {
@@ -164,9 +160,8 @@ func analyze(tr trace.Source, setupLen int, header bool) {
 	caStores, caLines := 0, map[mem.Addr]bool{}
 	writeLines := map[mem.Addr]bool{}
 	measured := map[trace.Kind]int{}
-	var op trace.Op
 	for i, n := 0, tr.Len(); i < n; i++ {
-		tr.Op(i, &op)
+		op := tr.At(i)
 		if i >= setupLen {
 			measured[op.Kind]++
 		}
@@ -180,7 +175,7 @@ func analyze(tr trace.Source, setupLen int, header bool) {
 	}
 	fmt.Printf("\ncounter-atomic stores   %d (%.2f%% of writes, %d distinct lines)\n",
 		caStores, pct(caStores, counts[trace.Write]), len(caLines))
-	if tx := trace.TransactionsOf(tr); tx > 0 {
+	if tx := tr.Transactions(); tx > 0 {
 		fmt.Printf("per transaction         %.1f writes, %.1f clwb, %.1f ccwb, %.1f fences, %.1f reads\n",
 			avg(measured[trace.Write], tx), avg(measured[trace.Clwb], tx),
 			avg(measured[trace.CCWB], tx), avg(measured[trace.Sfence], tx),
@@ -191,7 +186,7 @@ func analyze(tr trace.Source, setupLen int, header bool) {
 
 // lint runs the R1-R5 linter over the trace and prints its findings;
 // reports whether any diagnostic fired.
-func lint(tr trace.Source, arenas []persist.Arena) bool {
+func lint(tr *trace.Trace, arenas []persist.Arena) bool {
 	diags := check.Check(tr, check.Options{Arenas: arenas})
 	fmt.Println("\ncrash-consistency lint (rules R1-R5):")
 	if len(diags) == 0 {

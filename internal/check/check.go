@@ -65,18 +65,16 @@ type rule interface {
 // Malformed ops (per trace.Op.Validate) and unbalanced transaction
 // markers — nested, stray or never closed — are reported under the
 // pseudo-rule R0, and the ops are excluded from the persistence state
-// machine rather than trusted. The trace arrives as a cursor so
-// campaigns can lint binary trace files they never materialize;
-// *trace.Trace satisfies Source directly.
-func Check(tr trace.Source, opts Options) []Diagnostic {
+// machine rather than trusted. Check lints op by op and does not read
+// the trace's check record, so a malformed trace yields every R0 finding.
+func Check(tr *trace.Trace, opts Options) []Diagnostic {
 	rules := defaultRules()
 	s := verify.NewState(verify.Options{Arenas: opts.Arenas})
 	txBegin := 0
 	var diags []Diagnostic
-	var op trace.Op
 	n := tr.Len()
 	for i := 0; i < n; i++ {
-		tr.Op(i, &op)
+		op := tr.At(i)
 		if err := op.Validate(); err != nil {
 			diags = append(diags, Diagnostic{
 				Rule: "R0", OpIndex: i,

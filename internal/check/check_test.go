@@ -40,7 +40,7 @@ func fence() trace.Op          { return trace.Op{Kind: trace.Sfence} }
 func txb() trace.Op            { return trace.Op{Kind: trace.TxBegin} }
 func txe() trace.Op            { return trace.Op{Kind: trace.TxEnd} }
 
-func mkTrace(ops ...trace.Op) *trace.Trace { return &trace.Trace{Ops: ops} }
+func mkTrace(ops ...trace.Op) *trace.Trace { return trace.New(ops) }
 
 // checkWith lints tr using the test arena for log classification and
 // keeps only the diagnostics of the rule whose ID is given (or all of

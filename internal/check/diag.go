@@ -10,7 +10,7 @@ import (
 // Diagnostic is one rule violation, anchored to the op that exhibits it.
 type Diagnostic struct {
 	Rule    string   // "R1".."R5", or "R0" for a malformed stream
-	OpIndex int      // index into Trace.Ops of the anchoring op
+	OpIndex int      // trace index of the anchoring op
 	Addr    mem.Addr // affected data line or counter-group base (0 if n/a)
 	Message string
 }

@@ -73,15 +73,10 @@ type File struct {
 	Schedule *verify.Schedule `json:"schedule,omitempty"`
 }
 
-var kindNames = map[trace.Kind]string{
-	trace.Read: "read", trace.Write: "write", trace.Clwb: "clwb",
-	trace.Sfence: "sfence", trace.CCWB: "ccwb", trace.Compute: "compute",
-	trace.TxBegin: "txbegin", trace.TxEnd: "txend",
-}
-
+// kindByName inverts trace.Kind.String over the defined kinds.
 func kindByName(name string) (trace.Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
+	for k := trace.Read; k <= trace.TxEnd; k++ {
+		if k.String() == name {
 			return k, nil
 		}
 	}
@@ -109,9 +104,9 @@ func NewFile(e string, f Finding, model *verify.Model) *File {
 	}
 	out.Schedule = f.Violation.Schedule
 	if p, ok := programByName(f.Program); ok {
-		for _, op := range p.Trace.Ops {
+		for _, op := range p.Trace.Ops() {
 			out.Ops = append(out.Ops, OpRecord{
-				Kind: kindNames[op.Kind], Addr: uint64(op.Addr),
+				Kind: op.Kind.String(), Addr: uint64(op.Addr),
 				CA: op.CounterAtomic, Cycles: op.Cycles,
 			})
 		}

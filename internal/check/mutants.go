@@ -41,7 +41,7 @@ type TxAnatomy struct {
 // before limit, or -1.
 func lastKindBefore(tr *trace.Trace, k trace.Kind, limit int) int {
 	for i := limit - 1; i >= 0; i-- {
-		if tr.Ops[i].Kind == k {
+		if tr.At(i).Kind == k {
 			return i
 		}
 	}
@@ -52,7 +52,7 @@ func lastKindBefore(tr *trace.Trace, k trace.Kind, limit int) int {
 // before limit, or -1.
 func lastWriteTo(tr *trace.Trace, addr mem.Addr, limit int) int {
 	for i := limit - 1; i >= 0; i-- {
-		if tr.Ops[i].Kind == trace.Write && tr.Ops[i].Addr.LineAddr() == addr {
+		if op := tr.At(i); op.Kind == trace.Write && op.Addr.LineAddr() == addr {
 			return i
 		}
 	}
@@ -74,7 +74,7 @@ func Anatomize(tr *trace.Trace) (TxAnatomy, error) {
 	a.End = FindKind(tr, trace.TxEnd, a.Begin, 0)
 	a.LastFence = lastKindBefore(tr, trace.Sfence, a.End)
 	for i := a.ValidCA + 1; i < a.CommitCA; i++ {
-		if tr.Ops[i].Kind == trace.Write && !tr.Ops[i].CounterAtomic {
+		if op := tr.At(i); op.Kind == trace.Write && !op.CounterAtomic {
 			a.MutWrite = i
 			break
 		}
@@ -91,9 +91,9 @@ func Anatomize(tr *trace.Trace) (TxAnatomy, error) {
 // mutClwbIndex finds the clwb of the first mutation's line inside the
 // transaction.
 func mutClwbIndex(tr *trace.Trace, a TxAnatomy) (int, error) {
-	mutLine := tr.Ops[a.MutWrite].Addr.LineAddr()
+	mutLine := tr.At(a.MutWrite).Addr.LineAddr()
 	for i := a.MutWrite + 1; i < a.End; i++ {
-		if tr.Ops[i].Kind == trace.Clwb && tr.Ops[i].Addr.LineAddr() == mutLine {
+		if op := tr.At(i); op.Kind == trace.Clwb && op.Addr.LineAddr() == mutLine {
 			return i, nil
 		}
 	}
@@ -115,7 +115,7 @@ func TxMutants(tr *trace.Trace) ([]Mutant, error) {
 	if err != nil {
 		return nil, err
 	}
-	mutLine := tr.Ops[a.MutWrite].Addr.LineAddr()
+	mutLine := tr.At(a.MutWrite).Addr.LineAddr()
 
 	// drop-final-fence must mutate the LAST transaction: an earlier
 	// transaction's trailing clwb would be fenced by the next one.
@@ -133,7 +133,7 @@ func TxMutants(tr *trace.Trace) ([]Mutant, error) {
 	// until a later pointer store links it in.
 	hoistIdx := a.MutWrite
 	for i := a.ValidCA + 1; i < a.CommitCA; i++ {
-		op := tr.Ops[i]
+		op := tr.At(i)
 		if op.Kind == trace.Write && !op.CounterAtomic &&
 			lastWriteTo(tr, op.Addr.LineAddr(), a.Begin) >= 0 {
 			hoistIdx = i
@@ -206,7 +206,7 @@ func ListMutants(tr *trace.Trace) ([]Mutant, error) {
 	if flip < 0 || nodeCCWB < 0 || nodeFence < 0 || nodeClwb < 0 {
 		return nil, fmt.Errorf("check: could not locate the Figure-4 insert protocol")
 	}
-	nodeLine := tr.Ops[nodeClwb].Addr.LineAddr()
+	nodeLine := tr.At(nodeClwb).Addr.LineAddr()
 	dropClwb := DropOp(tr, nodeClwb)
 	return []Mutant{
 		// R3: node persisted but its counters never written back.

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"slices"
+
 	"encnvm/internal/trace"
 )
 
@@ -9,35 +11,23 @@ import (
 // the precise bug classes the rules exist to catch. The originals are
 // never modified.
 
-// CloneTrace returns a deep copy of tr's op stream.
-func CloneTrace(tr *trace.Trace) *trace.Trace {
-	return &trace.Trace{Ops: append([]trace.Op(nil), tr.Ops...)}
-}
-
 // DropOp returns a copy of tr without the op at index i.
 func DropOp(tr *trace.Trace, i int) *trace.Trace {
-	out := &trace.Trace{Ops: make([]trace.Op, 0, len(tr.Ops)-1)}
-	out.Ops = append(out.Ops, tr.Ops[:i]...)
-	out.Ops = append(out.Ops, tr.Ops[i+1:]...)
-	return out
+	return trace.New(slices.Delete(tr.Ops(), i, i+1))
 }
 
 // MoveOp returns a copy of tr with the op at index from re-inserted so it
 // lands at index to in the result.
 func MoveOp(tr *trace.Trace, from, to int) *trace.Trace {
-	out := DropOp(tr, from)
-	op := tr.Ops[from]
-	out.Ops = append(out.Ops, trace.Op{})
-	copy(out.Ops[to+1:], out.Ops[to:])
-	out.Ops[to] = op
-	return out
+	ops := slices.Delete(tr.Ops(), from, from+1)
+	return trace.New(slices.Insert(ops, to, tr.At(from)))
 }
 
 // FindKind returns the index of the nth (0-based) op of kind k at index
 // >= from, or -1.
 func FindKind(tr *trace.Trace, k trace.Kind, from, nth int) int {
-	for i := from; i < len(tr.Ops); i++ {
-		if tr.Ops[i].Kind == k {
+	for i := from; i < tr.Len(); i++ {
+		if tr.At(i).Kind == k {
 			if nth == 0 {
 				return i
 			}
@@ -49,8 +39,8 @@ func FindKind(tr *trace.Trace, k trace.Kind, from, nth int) int {
 
 // FindLastKind returns the index of the last op of kind k, or -1.
 func FindLastKind(tr *trace.Trace, k trace.Kind) int {
-	for i := len(tr.Ops) - 1; i >= 0; i-- {
-		if tr.Ops[i].Kind == k {
+	for i := tr.Len() - 1; i >= 0; i-- {
+		if tr.At(i).Kind == k {
 			return i
 		}
 	}
@@ -60,8 +50,8 @@ func FindLastKind(tr *trace.Trace, k trace.Kind) int {
 // FindCounterAtomic returns the index of the nth (0-based) CounterAtomic
 // store at index >= from, or -1.
 func FindCounterAtomic(tr *trace.Trace, from, nth int) int {
-	for i := from; i < len(tr.Ops); i++ {
-		if tr.Ops[i].Kind == trace.Write && tr.Ops[i].CounterAtomic {
+	for i := from; i < tr.Len(); i++ {
+		if op := tr.At(i); op.Kind == trace.Write && op.CounterAtomic {
 			if nth == 0 {
 				return i
 			}

@@ -126,8 +126,8 @@ func TestMutantByName(t *testing.T) {
 					return verdict{fmt.Sprintf("%s: regenerated length %d != %d",
 						want.Name, got.Trace.Len(), want.Trace.Len())}, nil
 				}
-				for i := range want.Trace.Ops {
-					if got.Trace.Ops[i] != want.Trace.Ops[i] {
+				for i := 0; i < want.Trace.Len(); i++ {
+					if got.Trace.At(i) != want.Trace.At(i) {
 						return verdict{fmt.Sprintf("%s: regenerated trace differs at op %d", want.Name, i)}, nil
 					}
 				}

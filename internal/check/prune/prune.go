@@ -72,7 +72,7 @@ type Partition struct {
 // Compute partitions tr's crash points, opening a class at every op
 // verify.OpensClass names. The result is deterministic. A structurally
 // invalid trace is rejected — its class enumeration cannot be trusted.
-func Compute(tr trace.Source, opts Options) (*Partition, error) {
+func Compute(tr *trace.Trace, opts Options) (*Partition, error) {
 	if _, err := tr.Check(); err != nil {
 		return nil, fmt.Errorf("prune: invalid trace: %w", err)
 	}
@@ -91,11 +91,9 @@ func Compute(tr trace.Source, opts Options) (*Partition, error) {
 		})
 	}
 	open(-1, "start")
-	var op trace.Op
 	for i := 0; i < n; i++ {
-		tr.Op(i, &op)
-		if verify.OpensClass(op.Kind) {
-			open(i, op.Kind.String())
+		if k := tr.At(i).Kind; verify.OpensClass(k) {
+			open(i, k.String())
 		}
 	}
 	return p, nil
@@ -106,7 +104,7 @@ func Compute(tr trace.Source, opts Options) (*Partition, error) {
 // recomputation, every class boundary. A partition that passes Check is
 // exactly what Compute would produce for tr, up to the choice of
 // representatives.
-func Check(tr trace.Source, p *Partition, opts Options) error {
+func Check(tr *trace.Trace, p *Partition, opts Options) error {
 	if p.Ops != tr.Len() || p.Gaps != tr.Len()+1 {
 		return fmt.Errorf("prune: partition for %d ops / %d gaps, trace has %d ops",
 			p.Ops, p.Gaps, tr.Len())

@@ -24,7 +24,7 @@ func comp() trace.Op           { return trace.Op{Kind: trace.Compute, Cycles: 8}
 func txb() trace.Op            { return trace.Op{Kind: trace.TxBegin} }
 func txe() trace.Op            { return trace.Op{Kind: trace.TxEnd} }
 
-func mkTrace(ops ...trace.Op) *trace.Trace { return &trace.Trace{Ops: ops} }
+func mkTrace(ops ...trace.Op) *trace.Trace { return trace.New(ops) }
 
 func mustCompute(t *testing.T, tr *trace.Trace) *prune.Partition {
 	t.Helper()

@@ -20,7 +20,7 @@ import (
 // counterexample therefore needs no cycle-accurate run — the schedule
 // already names the crash class, and every image in the class differs
 // only in lines the invariants do not constrain.
-func BuildImage(tr trace.Source, sched *Schedule) *mem.Space {
+func BuildImage(tr *trace.Trace, sched *Schedule) *mem.Space {
 	type cacheLine struct {
 		content mem.Line
 		ver     int
@@ -90,10 +90,8 @@ func BuildImage(tr trace.Source, sched *Schedule) *mem.Space {
 	if end >= tr.Len() {
 		end = tr.Len() - 1
 	}
-	var op trace.Op
 	for i := 0; i <= end; i++ {
-		tr.Op(i, &op)
-		switch op.Kind {
+		switch op := tr.At(i); op.Kind {
 		case trace.Write:
 			a := op.Addr.LineAddr()
 			c := line(a)
@@ -200,12 +198,10 @@ func BuildImage(tr trace.Source, sched *Schedule) *mem.Space {
 // FinalImage applies every store functionally and returns the final
 // program state — the reference a durability counterexample is compared
 // against.
-func FinalImage(tr trace.Source) *mem.Space {
+func FinalImage(tr *trace.Trace) *mem.Space {
 	space := mem.NewSpace()
-	var op trace.Op
 	for i, n := 0, tr.Len(); i < n; i++ {
-		tr.Op(i, &op)
-		if op.Kind == trace.Write {
+		if op := tr.At(i); op.Kind == trace.Write {
 			space.WriteLine(op.Addr, op.Line)
 		}
 	}

@@ -117,10 +117,8 @@ func ReadFile(path string) (*File, error) {
 // switchSchedule builds the counterexample for a V1/V2 violation at the
 // CounterAtomic store at op index i, with dep the unsafe earlier store.
 // Called on the pre-op state (before applyWrite).
-func (v *verifier) switchSchedule(tr trace.Source, i int, dep *lineState) *Schedule {
-	var cur trace.Op
-	tr.Op(i, &cur)
-	target := cur.Addr.LineAddr()
+func (v *verifier) switchSchedule(tr *trace.Trace, i int, dep *lineState) *Schedule {
+	target := tr.At(i).Addr.LineAddr()
 	inv := "V2"
 	if !dep.DataSafe {
 		inv = "V1"
@@ -180,11 +178,9 @@ func (v *verifier) switchSchedule(tr trace.Source, i int, dep *lineState) *Sched
 }
 
 // nextTxEnd returns the index of the first TxEnd at or after i, or -1.
-func nextTxEnd(tr trace.Source, i int) int {
-	var op trace.Op
+func nextTxEnd(tr *trace.Trace, i int) int {
 	for j, n := i, tr.Len(); j < n; j++ {
-		tr.Op(j, &op)
-		if op.Kind == trace.TxEnd {
+		if tr.At(j).Kind == trace.TxEnd {
 			return j
 		}
 	}
@@ -203,15 +199,14 @@ func nextTxEnd(tr trace.Source, i int) int {
 // volatile, so it lands garbled) and the seal, and suppress the dep's
 // unsafe writeback half so the log entry stays unreadable or stale.
 // Recovery then faces a mutated heap it cannot roll back.
-func (v *verifier) sealCorruptionSchedule(tr trace.Source, i int, dep *lineState, inv string, target mem.Addr) *Schedule {
+func (v *verifier) sealCorruptionSchedule(tr *trace.Trace, i int, dep *lineState, inv string, target mem.Addr) *Schedule {
 	end := nextTxEnd(tr, i)
 	if end < 0 {
 		end = tr.Len()
 	}
 	m := -1
-	var op trace.Op
 	for j := i + 1; j < end; j++ {
-		tr.Op(j, &op)
+		op := tr.At(j)
 		if op.Kind != trace.Write || op.CounterAtomic || v.IsLog(op.Addr) {
 			continue
 		}
@@ -235,12 +230,11 @@ func (v *verifier) sealCorruptionSchedule(tr trace.Source, i int, dep *lineState
 	if !dep.ctrSafe && dep.ctrWBAt >= 0 && !dep.ca {
 		drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Ctr: true, Op: dep.ctrWBAt})
 	}
-	tr.Op(m, &op)
 	return &Schedule{
 		CrashOp: m, Kind: KindConsistency,
 		Inv: inv, Victim: uint64(dep.Addr),
 		Land: []LandEntry{
-			{Addr: uint64(op.Addr.LineAddr()), Evict: true},
+			{Addr: uint64(tr.At(m).Addr.LineAddr()), Evict: true},
 			{Addr: uint64(target), Evict: true},
 		},
 		Drop:    drop,
@@ -254,20 +248,18 @@ func (v *verifier) sealCorruptionSchedule(tr trace.Source, i int, dep *lineState
 // any writeback of it issued between the switch and TxEnd. The commit's
 // own flush and fence are intact, so recovery retires the log entry, and
 // the dep line is left stale, or garbled when its counter landed alone.
-func (v *verifier) commitLossSchedule(tr trace.Source, i int, dep *lineState, inv string) *Schedule {
+func (v *verifier) commitLossSchedule(tr *trace.Trace, i int, dep *lineState, inv string) *Schedule {
 	end := nextTxEnd(tr, i)
 	if end < 0 {
 		return nil
 	}
 	var drop []LandEntry
-	var op trace.Op
 	if !dep.DataSafe {
 		if dep.DataWBAt >= 0 {
 			drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Op: dep.DataWBAt})
 		}
 		for j := i + 1; j < end; j++ {
-			tr.Op(j, &op)
-			if op.Kind == trace.Clwb && op.Addr.LineAddr() == dep.Addr {
+			if op := tr.At(j); op.Kind == trace.Clwb && op.Addr.LineAddr() == dep.Addr {
 				drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Op: j})
 			}
 		}
@@ -276,8 +268,7 @@ func (v *verifier) commitLossSchedule(tr trace.Source, i int, dep *lineState, in
 			drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Ctr: true, Op: dep.ctrWBAt})
 		}
 		for j := i + 1; j < end; j++ {
-			tr.Op(j, &op)
-			if op.Kind == trace.CCWB && CounterGroup(op.Addr) == CounterGroup(dep.Addr) {
+			if op := tr.At(j); op.Kind == trace.CCWB && CounterGroup(op.Addr) == CounterGroup(dep.Addr) {
 				drop = append(drop, LandEntry{Addr: uint64(dep.Addr), Ctr: true, Op: j})
 			}
 		}

@@ -225,10 +225,8 @@ type verifier struct {
 
 // Verify statically checks every crash-point equivalence class of tr.
 // A structurally invalid trace yields a single V0 violation (the stream
-// cannot be trusted) and no further analysis. The trace arrives as a
-// cursor so campaigns can verify binary trace files they never
-// materialize; *trace.Trace satisfies Source directly.
-func Verify(tr trace.Source, opts Options) Result {
+// cannot be trusted) and no further analysis.
+func Verify(tr *trace.Trace, opts Options) Result {
 	if _, err := tr.Check(); err != nil {
 		return Result{Ops: tr.Len(), Violations: []Violation{{
 			Inv: "V0", Message: "invalid trace: " + err.Error(),
@@ -237,10 +235,8 @@ func Verify(tr trace.Source, opts Options) Result {
 	v := &verifier{State: NewState(opts)}
 	v.res.Ops = tr.Len()
 	v.classes = 1 // the class before any op
-	var op trace.Op
 	for i, n := 0, tr.Len(); i < n; i++ {
-		tr.Op(i, &op)
-		v.step(tr, i, op)
+		v.step(tr, i, tr.At(i))
 	}
 	v.finish(tr)
 	v.res.Classes = v.classes
@@ -262,7 +258,7 @@ func Verify(tr trace.Source, opts Options) Result {
 // decidable, then applies the op. Checks observe the state BEFORE the op
 // — the class opened by op i contains the op's own effect as
 // possibly-persisted, and the pre-state is what it publishes.
-func (v *verifier) step(tr trace.Source, i int, op trace.Op) {
+func (v *verifier) step(tr *trace.Trace, i int, op trace.Op) {
 	if OpensClass(op.Kind) {
 		v.classes++
 	}
@@ -286,7 +282,7 @@ func (v *verifier) step(tr trace.Source, i int, op trace.Op) {
 // suffices), so every earlier store it publishes must already be
 // definitely readable — and, on a tree-protected engine, definitely
 // verifiable: its ancestor tree nodes persisted too.
-func (v *verifier) checkSwitch(tr trace.Source, i int, op trace.Op) {
+func (v *verifier) checkSwitch(tr *trace.Trace, i int, op trace.Op) {
 	target := op.Addr.LineAddr()
 	for _, a := range v.lineOrder {
 		ls := v.lines[a]
@@ -328,7 +324,7 @@ func (v *verifier) checkSwitch(tr trace.Source, i int, op trace.Op) {
 // checkMutate verifies V3 at an in-place transactional store: the store
 // is possibly-persisted (and possibly garbled) from this class onward, so
 // the log seal must already be durable or the mutation is unrecoverable.
-func (v *verifier) checkMutate(tr trace.Source, i int, op trace.Op) {
+func (v *verifier) checkMutate(tr *trace.Trace, i int, op trace.Op) {
 	if v.sealDurable() {
 		return
 	}
@@ -347,7 +343,7 @@ func (v *verifier) checkMutate(tr trace.Source, i int, op trace.Op) {
 // checkTxEnd verifies V4 at a transaction boundary: everything the
 // transaction stored must be definitely readable, or the class right
 // after TxEnd loses a committed effect.
-func (v *verifier) checkTxEnd(tr trace.Source, i int) {
+func (v *verifier) checkTxEnd(tr *trace.Trace, i int) {
 	for _, a := range v.lineOrder {
 		ls := v.lines[a]
 		if !ls.StoreInTx || ls.StoredAt < 0 || ls.safe() {
@@ -364,7 +360,7 @@ func (v *verifier) checkTxEnd(tr trace.Source, i int) {
 
 // finish verifies V4 at the end of the trace: the program has completed,
 // so every store must be definitely readable.
-func (v *verifier) finish(tr trace.Source) {
+func (v *verifier) finish(tr *trace.Trace) {
 	n := tr.Len()
 	for _, a := range v.lineOrder {
 		ls := v.lines[a]

@@ -36,7 +36,7 @@ func fence() trace.Op          { return trace.Op{Kind: trace.Sfence} }
 func txb() trace.Op            { return trace.Op{Kind: trace.TxBegin} }
 func txe() trace.Op            { return trace.Op{Kind: trace.TxEnd} }
 
-func mkTrace(ops ...trace.Op) *trace.Trace { return &trace.Trace{Ops: ops} }
+func mkTrace(ops ...trace.Op) *trace.Trace { return trace.New(ops) }
 
 func vopts() verify.Options { return verify.Options{Arenas: testArenas} }
 

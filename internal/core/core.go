@@ -87,13 +87,12 @@ func RunTraces(cfg *config.Config, workload string, traces []*trace.Trace) (Resu
 	return Run(m, workload, traces, nil)
 }
 
-// Run replays one trace cursor per core — in-memory traces or binary
-// trace files decoded in place — on an assembled machine, drives it to
-// completion, and collects the measurements. A non-nil probe observes
-// the run; the caller finalizes it with Close after inspecting the
-// result.
-func Run[S trace.Source](m *machine.Machine, workload string, srcs []S, pb *probe.Probe) (Result, error) {
-	sys, err := replay.NewMachine(m, srcs)
+// Run replays one trace per core — generated, or decoded from a binary
+// trace file — on an assembled machine, drives it to completion, and
+// collects the measurements. A non-nil probe observes the run; the
+// caller finalizes it with Close after inspecting the result.
+func Run(m *machine.Machine, workload string, traces []*trace.Trace, pb *probe.Probe) (Result, error) {
+	sys, err := replay.NewMachine(m, traces)
 	if err != nil {
 		return Result{}, err
 	}

@@ -182,7 +182,7 @@ func TestTraceContent(t *testing.T) {
 // stats counters.
 func TestManifestContent(t *testing.T) {
 	res, _, _, manifestOut := observedRun(t, tiny)
-	m, err := probe.DecodeManifest(bytes.NewReader(manifestOut))
+	m, err := DecodeManifest(bytes.NewReader(manifestOut))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,11 @@ import (
 	"encnvm/internal/workloads"
 )
 
-// TestBinReplayMatchesMaterialized pins the streaming hot path: for
-// every workload, replaying a recorded binary trace file through the
-// in-place BinReader cursor must produce a manifest byte-identical to
-// replaying the same traces from memory. Any divergence — a decode bug,
-// a scratch-op aliasing mistake, an event-ordering change from the
-// pre-sizing — shows up as a manifest diff.
+// TestBinReplayMatchesMaterialized pins the record/replay path: for
+// every workload, replaying the traces decoded from a recorded binary
+// trace file must produce a manifest byte-identical to replaying the
+// generated traces. Any divergence — a decode bug, an event-ordering
+// change from the pre-sizing — shows up as a manifest diff.
 func TestBinReplayMatchesMaterialized(t *testing.T) {
 	const cores = 2
 	dir := t.TempDir()
@@ -51,11 +50,11 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			readers, err := trace.ReadTracesFile(path)
+			decoded, err := trace.ReadTracesFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(build(), name, readers, nil)
+			got, err := Run(build(), name, decoded, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +67,7 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-				t.Errorf("binary-cursor replay manifest differs from materialized replay:\n--- materialized\n%s\n--- cursor\n%s",
+				t.Errorf("decoded-file replay manifest differs from generated replay:\n--- generated\n%s\n--- decoded\n%s",
 					wb.String(), gb.String())
 			}
 		})

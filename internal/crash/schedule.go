@@ -86,7 +86,7 @@ func ReplaySchedule(w workloads.Workload, tr *trace.Trace, arena persist.Arena,
 		if victim >= arena.HeapBase() && victim < arena.End() {
 			prefix := tr
 			if sched.CrashOp+1 < tr.Len() {
-				prefix = &trace.Trace{Ops: tr.Ops[:sched.CrashOp+1]}
+				prefix = trace.New(tr.Ops()[:sched.CrashOp+1])
 			}
 			want := verify.FinalImage(prefix).ReadLine(victim)
 			got := space.ReadLine(victim)

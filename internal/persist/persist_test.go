@@ -94,7 +94,7 @@ func TestCounterAtomicAnnotation(t *testing.T) {
 	a := rt.Alloc(64)
 	rt.StoreUint64(a, 1)
 	rt.StoreUint64CounterAtomic(a, 2)
-	ops := rt.Trace().Ops
+	ops := rt.Trace().Ops()
 	if ops[0].CounterAtomic || !ops[1].CounterAtomic {
 		t.Fatalf("CA flags = %v %v", ops[0].CounterAtomic, ops[1].CounterAtomic)
 	}
@@ -156,7 +156,7 @@ func TestTxStageStructure(t *testing.T) {
 	// into its own fence, mutate, commit = 4 sfences total; exactly two
 	// CounterAtomic stores (valid set + clear).
 	var fences, caStores int
-	for _, op := range rt.Trace().Ops {
+	for _, op := range rt.Trace().Ops() {
 		switch {
 		case op.Kind == trace.Sfence:
 			fences++

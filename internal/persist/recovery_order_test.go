@@ -25,8 +25,8 @@ import (
 func imageAt(tr *trace.Trace, at int) *mem.Space {
 	space := mem.NewSpace()
 	pending := make(map[mem.Addr]mem.Line)
-	for i := 0; i <= at && i < len(tr.Ops); i++ {
-		op := tr.Ops[i]
+	for i := 0; i <= at && i < tr.Len(); i++ {
+		op := tr.At(i)
 		switch op.Kind {
 		case trace.Write:
 			pending[op.Addr.LineAddr()] = op.Line
@@ -70,8 +70,7 @@ func validBeforePayload(t *testing.T, tr *trace.Trace) *trace.Trace {
 		t.Fatalf("unexpected transaction shape: begin=%d valid=%d clwb=%d", begin, validCA, firstClwb)
 	}
 	// The valid sequence is three contiguous ops: CA store, clwb, fence.
-	m := check.CloneTrace(tr)
-	m = check.MoveOp(m, validCA, firstClwb)
+	m := check.MoveOp(tr, validCA, firstClwb)
 	m = check.MoveOp(m, validCA+1, firstClwb+1)
 	m = check.MoveOp(m, validCA+2, firstClwb+2)
 	return m

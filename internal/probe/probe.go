@@ -18,9 +18,8 @@
 //
 // All output is fully deterministic: events are emitted in event-loop order
 // and timestamps are formatted as exact decimals, so identical seed+config
-// runs produce byte-identical files. The package also defines the run
-// Manifest, the machine-readable end-of-run document consumed by
-// cmd/statdiff and the BENCH_*.json trajectory.
+// runs produce byte-identical files. The run Manifest, the end-of-run
+// document, is built by internal/core.
 package probe
 
 import (

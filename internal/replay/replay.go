@@ -75,9 +75,8 @@ type core struct {
 	sys *System
 	id  int
 	l1  *cache.Cache
-	src trace.Source
-	n   int      // src.Len(), cached for the hot loop
-	cur trace.Op // scratch decode target; src.Op(pc, &cur) is allocation-free
+	tr  *trace.Trace
+	n   int // tr.Len(), cached for the hot loop
 	pc  int
 
 	// retire, when non-nil, records the retire instant of every op (the
@@ -113,18 +112,16 @@ type core struct {
 var txStageNames = [...]string{"log", "log-seal", "mutate", "commit-switch"}
 
 // NewMachine attaches replay cores to an assembled machine, one trace
-// cursor per core; len(srcs) must equal the machine's core count. The
-// type parameter lets in-memory traces ([]*trace.Trace) and binary
-// cursors ([]*trace.BinReader) pass without an adapter. Every source is
-// checked in one pass (BinReader reports what it counted at
-// construction), and the source lengths pre-size the event queue, the
-// device write log, and the per-transaction history (sized by the TxEnds
-// that pass counts) so the replay hot loop runs without growth
-// allocations.
-func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
+// per core; len(traces) must equal the machine's core count. Each trace
+// is checked (Trace.Check validates a trace once and then reads its
+// record, so attaching a shared trace again costs nothing), and the
+// trace lengths pre-size the event queue, the device write log, and the
+// per-transaction history (sized by the TxEnd count the check returns)
+// so the replay hot loop runs without growth allocations.
+func NewMachine(m *machine.Machine, traces []*trace.Trace) (*System, error) {
 	cfg := m.Cfg
-	if len(srcs) != cfg.NumCores {
-		return nil, fmt.Errorf("replay: %d traces for %d cores", len(srcs), cfg.NumCores)
+	if len(traces) != cfg.NumCores {
+		return nil, fmt.Errorf("replay: %d traces for %d cores", len(traces), cfg.NumCores)
 	}
 	sys := &System{
 		Eng:   m.Eng,
@@ -141,18 +138,17 @@ func NewMachine[S trace.Source](m *machine.Machine, srcs []S) (*System, error) {
 	sys.writebackH = sys.Eng.Register(sys.writebackDone)
 	sys.readDoneH = sys.Eng.Register(sys.readDone)
 	totalOps := 0
-	for i, s := range srcs {
-		src := trace.Source(s) // a type parameter does not compare with nil
-		if src == nil {
-			return nil, fmt.Errorf("replay: core %d: nil trace source", i)
+	for i, tr := range traces {
+		if tr == nil {
+			return nil, fmt.Errorf("replay: core %d: nil trace", i)
 		}
-		txEnds, err := src.Check()
+		txEnds, err := tr.Check()
 		if err != nil {
 			return nil, fmt.Errorf("replay: core %d: %w", i, err)
 		}
-		totalOps += src.Len()
+		totalOps += tr.Len()
 		c := &core{
-			sys: sys, id: i, l1: cache.New(cfg.L1), src: src, n: src.Len(),
+			sys: sys, id: i, l1: cache.New(cfg.L1), tr: tr, n: tr.Len(),
 			txEnds: make([]sim.Time, txEnds),
 		}
 		sys.cores = append(sys.cores, c)
@@ -399,6 +395,7 @@ func (c *core) step() {
 	}
 	cfg := c.sys.Cfg
 	var acc sim.Time
+	var op trace.Op
 	for acc < maxBatch {
 		if c.pc >= c.n {
 			if acc > 0 {
@@ -412,8 +409,7 @@ func (c *core) step() {
 			}
 			return
 		}
-		c.src.Op(c.pc, &c.cur)
-		op := &c.cur
+		op = c.tr.At(c.pc)
 		switch op.Kind {
 		case trace.Compute:
 			acc += sim.Time(op.Cycles) * cfg.CPUCycle
@@ -479,10 +475,9 @@ func (c *core) step() {
 		return
 	}
 
-	// c.cur still holds the op decoded at the top of the batch loop: the
+	// op still holds the op read at the top of the batch loop: the
 	// complex path is only reached via break with acc == 0, i.e. on the
-	// iteration that decoded c.pc.
-	op := c.cur
+	// iteration that read c.pc.
 	c.pc++
 	// A controller-touching op retires at its dispatch instant: its
 	// synchronous controller interactions happen now, and the next op

@@ -29,7 +29,6 @@ type orderDriver struct {
 	nextID int
 	fired  int
 	lastAt Time
-	stopAt int // the firing event with this count calls Stop
 	err    error
 }
 
@@ -75,7 +74,7 @@ func (d *orderDriver) post() {
 }
 
 // fire checks that the engine fired the reference's earliest event at
-// its time, then maybe stops the engine and posts children.
+// its time, then posts children.
 func (d *orderDriver) fire(id int) {
 	k := d.earliest()
 	if k < 0 || d.ref[k].id != id || d.ref[k].at != d.e.Now() {
@@ -87,9 +86,6 @@ func (d *orderDriver) fire(id int) {
 	d.lastAt = d.e.Now()
 	if got := d.e.Steps(); got != uint64(d.fired) {
 		d.fail("Steps = %d inside event %d, want %d", got, id, d.fired)
-	}
-	if d.fired == d.stopAt {
-		d.e.Stop()
 	}
 	for n := d.byte() % 3; n > 0; n-- {
 		d.post()
@@ -105,20 +101,22 @@ func (d *orderDriver) run(until bool, deadline Time) {
 	} else {
 		now = d.e.Run()
 	}
-	stopped := d.stopAt > before && d.stopAt <= d.fired
-	// Run ends at its last event; RunUntil ends at its deadline, even
-	// when stopped early.
+	// Run ends at its last event; RunUntil ends at its deadline, or
+	// stays at Now when the deadline is already past.
 	want := prevNow
 	switch {
 	case until:
-		want = deadline
-		if k := d.earliest(); !stopped && k >= 0 && d.ref[k].at <= deadline {
+		want = max(prevNow, deadline)
+		if k := d.earliest(); k >= 0 && d.ref[k].at <= deadline {
 			d.fail("RunUntil(%d) left event %+v", deadline, d.ref[k])
+		}
+		if deadline < prevNow && d.fired != before {
+			d.fail("RunUntil(%d) at Now %d fired %d events", deadline, prevNow, d.fired-before)
 		}
 	case d.fired > before:
 		want = d.lastAt
 	}
-	if !until && !stopped && len(d.ref) > 0 {
+	if !until && len(d.ref) > 0 {
 		d.fail("Run returned with %d reference events pending", len(d.ref))
 	}
 	if now != want || d.e.Now() != want {
@@ -129,14 +127,14 @@ func (d *orderDriver) run(until bool, deadline Time) {
 // checkEngineOrder runs prog and reports the first disagreement between
 // the engine and the reference.
 func checkEngineOrder(prog []byte) error {
-	d := &orderDriver{e: New(), prog: prog, stopAt: -1}
+	d := &orderDriver{e: New(), prog: prog}
 	d.h = d.e.Register(func(arg uint64) { d.fire(int(arg)) })
 	for d.pc < len(d.prog) && d.err == nil {
 		switch op := d.byte() % 8; op {
 		case 0, 1, 2, 3:
 			d.post()
-		case 4: // Stop from inside an event a few firings from now
-			d.stopAt = d.fired + 1 + int(d.byte()%4)
+		case 4: // RunUntil a deadline at or before Now
+			d.run(true, d.e.Now()-min(d.e.Now(), Time(d.byte()%12)))
 		case 5: // RunUntil between (or at) event times
 			d.run(true, d.e.Now()+Time(d.byte()%12))
 		case 6: // RunUntil exactly at the earliest event's time
@@ -150,7 +148,6 @@ func checkEngineOrder(prog []byte) error {
 			d.fail("Pending = %d, reference holds %d", d.e.Pending(), len(d.ref))
 		}
 	}
-	d.stopAt = -1
 	d.run(false, 0)
 	if d.err == nil && (d.e.Pending() != 0 || d.e.Steps() != uint64(d.nextID)) {
 		d.fail("after draining: Pending %d, Steps %d, posted %d", d.e.Pending(), d.e.Steps(), d.nextID)
@@ -159,8 +156,8 @@ func checkEngineOrder(prog []byte) error {
 }
 
 // TestEngineOrderDifferential drives random mixes of handler posts and
-// closure schedules, ties, posts from inside events, Stop, and RunUntil
-// at and between event times, and holds the engine's pop order, Steps,
+// closure schedules, ties, posts from inside events, and RunUntil at,
+// between and before event times, and holds the engine's pop order, Steps,
 // Pending and Now to a reference sort by (at, seq).
 func TestEngineOrderDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

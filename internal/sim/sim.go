@@ -127,7 +127,6 @@ type Engine struct {
 	front    event // earliest pending event when hasFront
 	hasFront bool
 	queue    eventQueue // every other pending event
-	stopped  bool
 	steps    uint64
 
 	// handlers is indexed by Handler; slot 0 (NoHandler) stays nil. It
@@ -295,29 +294,27 @@ func (e *Engine) fire(ev event) {
 	e.Call(Handler(ev.key&handlerMask), ev.arg)
 }
 
-// Run executes events until the queue is empty or Stop is called. It returns
-// the final simulated time.
+// Run executes events until the queue is empty. It returns the final
+// simulated time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for e.Pending() > 0 && !e.stopped {
+	for e.Pending() > 0 {
 		e.fire(e.next())
 	}
 	return e.now
 }
 
-// RunUntil executes events with timestamps <= deadline. Events beyond the
-// deadline remain queued. It returns the final simulated time, which never
-// exceeds deadline.
+// RunUntil executes events with timestamps <= deadline and then moves the
+// clock forward to the deadline. Events beyond the deadline remain queued.
+// The clock never runs backwards: a deadline before Now runs nothing. It
+// returns the final simulated time, max(Now, deadline).
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for e.Pending() > 0 && !e.stopped {
+	for e.Pending() > 0 {
 		at := e.front.at
 		if !e.hasFront {
 			at = e.queue[0].at
 		}
 		if at > deadline {
-			e.advanceTo(deadline)
-			return e.now
+			break
 		}
 		e.fire(e.next())
 	}
@@ -326,10 +323,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	return e.now
 }
-
-// Stop halts Run after the currently-executing event returns. Pending events
-// stay queued so a subsequent Run resumes where the engine left off.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of events still queued.
 func (e *Engine) Pending() int {

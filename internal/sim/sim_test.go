@@ -88,31 +88,6 @@ func TestZeroDelayRunsAfterCurrent(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	ran := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(Time(i*10), func() {
-			ran++
-			if ran == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("ran = %d events before stop, want 2", ran)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", e.Pending())
-	}
-	// Resuming processes the rest.
-	e.Run()
-	if ran != 5 || e.Pending() != 0 {
-		t.Fatalf("after resume ran=%d pending=%d", ran, e.Pending())
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time
@@ -143,6 +118,30 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 	if e.Now() != 500 {
 		t.Fatalf("Now = %d, want 500", e.Now())
+	}
+}
+
+// TestRunUntilPastDeadline pins the forward-only clock: a deadline
+// before Now runs nothing and leaves the clock where it was, so a later
+// post cannot land before instants already simulated.
+func TestRunUntilPastDeadline(t *testing.T) {
+	e := New()
+	fired := false
+	e.Schedule(100, func() { fired = true })
+	if now := e.RunUntil(50); now != 50 {
+		t.Fatalf("RunUntil(50) = %d", now)
+	}
+	if now := e.RunUntil(20); now != 50 || e.Now() != 50 {
+		t.Fatalf("RunUntil(20) after RunUntil(50) = %d, Now %d; want 50", now, e.Now())
+	}
+	if fired || e.Pending() != 1 {
+		t.Fatalf("past deadline fired=%v pending=%d", fired, e.Pending())
+	}
+	var at Time
+	e.Schedule(0, func() { at = e.Now() })
+	e.Run()
+	if at != 50 || !fired || e.Now() != 100 {
+		t.Fatalf("post after past deadline ran at %d (want 50), fired=%v, Now %d", at, fired, e.Now())
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 )
 
 // Binary trace IR: a flat, fixed-width, little-endian record encoding
-// of the per-core op streams, designed so a replay consumer can decode
-// records in place from a byte slice (or an mmap) with zero per-op
-// allocation. One file holds one multi-core trace set.
+// of the per-core op streams. One file holds one multi-core trace set,
+// and decoding it yields one checked Trace per core.
 //
 // File layout:
 //
@@ -89,65 +88,34 @@ func DecodeOp(b []byte, dst *Op) error {
 	if b[2]|b[3] != 0 {
 		return fmt.Errorf("binary record: nonzero reserved bytes")
 	}
-	decodeRecord(b, dst)
-	return nil
-}
-
-// decodeRecord decodes without validation. BinReader uses it on the
-// hot path after NewBinReader has strict-checked every record once.
-func decodeRecord(b []byte, dst *Op) {
 	dst.Kind = Kind(b[recKindOff])
 	dst.CounterAtomic = b[recFlagsOff]&flagCounterAtomic != 0
 	dst.Cycles = binary.LittleEndian.Uint32(b[recCyclesOff : recCyclesOff+4])
 	dst.Addr = mem.Addr(binary.LittleEndian.Uint64(b[recAddrOff : recAddrOff+8]))
 	copy(dst.Line[:], b[recLineOff:RecordBytes])
+	return nil
 }
 
-// BinReader is a Source over a byte slice of encoded records. Every
-// record is strict-decoded and structurally validated at construction,
-// so Op decodes unconditionally and Check reports no error.
-type BinReader struct {
-	rec    []byte
-	n      int
-	txEnds int // TxEnd records, counted by the construction pass
-}
-
-// NewBinReader wraps a record region (no file header) as a Source,
-// validating every record — encoding strictness, per-op structure, and
-// transaction nesting — in one streaming pass.
-func NewBinReader(rec []byte) (*BinReader, error) {
-	if len(rec)%RecordBytes != 0 {
-		return nil, fmt.Errorf("trace: binary stream is %d bytes, not a multiple of %d", len(rec), RecordBytes)
-	}
-	r := &BinReader{rec: rec, n: len(rec) / RecordBytes}
-	var op Op
-	var tx txTracker
-	for i := 0; i < r.n; i++ {
-		if err := DecodeOp(rec[i*RecordBytes:(i+1)*RecordBytes], &op); err != nil {
+// decodeCore strict-decodes one core's record region into a checked
+// trace. Each record is checked as soon as it is decoded, so the error
+// reported is the first one in stream order.
+func decodeCore(rec []byte) (*Trace, error) {
+	ops := make([]Op, len(rec)/RecordBytes)
+	t := &Trace{}
+	for i := range ops {
+		if err := DecodeOp(rec[i*RecordBytes:], &ops[i]); err != nil {
 			return nil, fmt.Errorf("trace: op %d: %w", i, err)
 		}
-		if err := tx.op(i, &op); err != nil {
+		t.ops = ops[:i+1]
+		if err := t.scan(); err != nil {
 			return nil, err
 		}
 	}
-	if err := tx.finish(); err != nil {
+	if _, err := t.Check(); err != nil {
 		return nil, err
 	}
-	r.txEnds = tx.ends
-	return r, nil
+	return t, nil
 }
-
-// Len returns the number of records.
-func (r *BinReader) Len() int { return r.n }
-
-// Op decodes record i into dst. Zero allocations.
-func (r *BinReader) Op(i int, dst *Op) {
-	decodeRecord(r.rec[i*RecordBytes:(i+1)*RecordBytes], dst)
-}
-
-// Check returns the TxEnd count NewBinReader recorded while validating
-// every record, and no error.
-func (r *BinReader) Check() (txEnds int, err error) { return r.txEnds, nil }
 
 // WriteTraces encodes a multi-core trace set to w in the binary file
 // format. Every trace is validated first; a malformed stream must not
@@ -174,8 +142,8 @@ func WriteTraces(w io.Writer, traces []*Trace) error {
 	}
 	var rec [RecordBytes]byte
 	for _, tr := range traces {
-		for i := range tr.Ops {
-			EncodeOp(rec[:], &tr.Ops[i])
+		for i := range tr.ops {
+			EncodeOp(rec[:], &tr.ops[i])
 			if _, err := bw.Write(rec[:]); err != nil {
 				return err
 			}
@@ -197,9 +165,9 @@ func WriteTracesFile(path string, traces []*Trace) error {
 	return f.Close()
 }
 
-// DecodeTraces parses a binary trace file image into one validated
-// BinReader per core. The total length must match the header exactly.
-func DecodeTraces(data []byte) ([]*BinReader, error) {
+// DecodeTraces parses a binary trace file image into one checked trace
+// per core. The total length must match the header exactly.
+func DecodeTraces(data []byte) ([]*Trace, error) {
 	if len(data) < headerFixedBytes {
 		return nil, fmt.Errorf("trace: binary file: %d bytes, want at least %d", len(data), headerFixedBytes)
 	}
@@ -225,21 +193,21 @@ func DecodeTraces(data []byte) ([]*BinReader, error) {
 	if uint64(len(rec)) != total*RecordBytes {
 		return nil, fmt.Errorf("trace: binary file: %d record bytes, header says %d", len(rec), total*RecordBytes)
 	}
-	out := make([]*BinReader, ncores)
+	out := make([]*Trace, ncores)
 	off := uint64(0)
 	for i, n := range counts {
-		r, err := NewBinReader(rec[off*RecordBytes : (off+n)*RecordBytes])
+		t, err := decodeCore(rec[off*RecordBytes : (off+n)*RecordBytes])
 		if err != nil {
 			return nil, fmt.Errorf("core %d: %w", i, err)
 		}
-		out[i] = r
+		out[i] = t
 		off += n
 	}
 	return out, nil
 }
 
-// ReadTracesFile loads and validates a binary trace file.
-func ReadTracesFile(path string) ([]*BinReader, error) {
+// ReadTracesFile loads and checks a binary trace file.
+func ReadTracesFile(path string) ([]*Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

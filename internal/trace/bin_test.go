@@ -158,18 +158,17 @@ func TestWriteReadTracesFile(t *testing.T) {
 	if len(rs) != len(traces) {
 		t.Fatalf("decoded %d cores, want %d", len(rs), len(traces))
 	}
-	for c, r := range rs {
-		got := Materialize(r)
+	for c, got := range rs {
 		want := traces[c]
 		if got.Len() != want.Len() {
 			t.Fatalf("core %d: len %d, want %d", c, got.Len(), want.Len())
 		}
-		for i := range want.Ops {
-			if got.Ops[i] != want.Ops[i] {
-				t.Fatalf("core %d op %d: %+v != %+v", c, i, got.Ops[i], want.Ops[i])
+		for i := 0; i < want.Len(); i++ {
+			if got.At(i) != want.At(i) {
+				t.Fatalf("core %d op %d: %+v != %+v", c, i, got.At(i), want.At(i))
 			}
 		}
-		ends, err := r.Check()
+		ends, err := got.Check()
 		if err != nil {
 			t.Fatalf("core %d: Check: %v", c, err)
 		}
@@ -221,74 +220,39 @@ func TestDecodeTracesStrict(t *testing.T) {
 	}
 }
 
-// TestNewBinReaderValidates checks construction-time structural
-// validation matches Trace.Validate.
-func TestNewBinReaderValidates(t *testing.T) {
-	unclosed := make([]byte, RecordBytes)
-	EncodeOp(unclosed, &Op{Kind: TxBegin})
-	if _, err := NewBinReader(unclosed); err == nil {
-		t.Error("unclosed transaction accepted")
-	}
-	if _, err := NewBinReader(make([]byte, RecordBytes-1)); err == nil {
-		t.Error("ragged stream length accepted")
-	}
-	nested := make([]byte, 2*RecordBytes)
-	EncodeOp(nested[:RecordBytes], &Op{Kind: TxBegin})
-	EncodeOp(nested[RecordBytes:], &Op{Kind: TxBegin})
-	if _, err := NewBinReader(nested); err == nil {
-		t.Error("nested TxBegin accepted")
-	}
-}
-
-// TestBinReaderOpAllocs pins the zero-allocation decode contract of
-// the replay hot path.
-func TestBinReaderOpAllocs(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTraces(&buf, []*Trace{sampleTrace()}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := DecodeTraces(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rs[0]
-	var op Op
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < r.Len(); i++ {
-			r.Op(i, &op)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("BinReader.Op allocates %.1f per sweep, want 0", allocs)
-	}
-}
-
-func TestSourceHelpers(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteTraces(&buf, []*Trace{tr}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := DecodeTraces(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Source{tr, rs[0]} {
-		if got, err := s.Check(); got != 1 || err != nil {
-			t.Errorf("Check() = %d, %v, want 1 TxEnd", got, err)
-		}
-		if got, want := TransactionsOf(s), tr.Transactions(); got != want {
-			t.Errorf("TransactionsOf = %d, want %d", got, want)
-		}
-		if got, want := FootprintLinesOf(s), tr.FootprintLines(); got != want {
-			t.Errorf("FootprintLinesOf = %d, want %d", got, want)
-		}
-		counts := CountsOf(s)
-		for k, n := range tr.Counts() {
-			if counts[k] != n {
-				t.Errorf("CountsOf[%v] = %d, want %d", k, counts[k], n)
+// TestDecodeTracesChecksTransactions checks that decoding applies the
+// trace check: an unclosed or nested transaction in a well-encoded file
+// is rejected with the error Trace.Check gives, and the first error in
+// stream order wins over a bad record after it.
+func TestDecodeTracesChecksTransactions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+		want string
+	}{
+		{"unclosed", []Op{{Kind: TxBegin}}, "core 0: trace: 1 unclosed transactions"},
+		{"nested", []Op{{Kind: TxBegin}, {Kind: TxBegin}, {Kind: TxEnd}, {Kind: TxEnd}},
+			"core 0: trace: nested TxBegin at op 1"},
+		{"stray end", []Op{{Kind: TxEnd}}, "core 0: trace: TxEnd without TxBegin at op 0"},
+		{"nested before bad record", []Op{{Kind: TxBegin}, {Kind: TxBegin}, {Kind: 9}},
+			"core 0: trace: nested TxBegin at op 1"},
+		{"bad record inside open tx", []Op{{Kind: TxBegin}, {Kind: 9}},
+			"core 0: trace: op 1: binary record: unknown kind 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			buf.WriteString(Magic)
+			binary.Write(&buf, binary.LittleEndian, uint32(1))
+			binary.Write(&buf, binary.LittleEndian, uint64(len(tc.ops)))
+			var rec [RecordBytes]byte
+			for i := range tc.ops {
+				EncodeOp(rec[:], &tc.ops[i])
+				buf.Write(rec[:])
 			}
-		}
+			if _, err := DecodeTraces(buf.Bytes()); err == nil || err.Error() != tc.want {
+				t.Fatalf("DecodeTraces: %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -39,8 +39,7 @@ func FuzzDecodeOp(f *testing.F) {
 }
 
 // FuzzDecodeTrace asserts the file decoder never panics and that every
-// file it accepts re-serializes byte-identically via Materialize +
-// WriteTraces.
+// file it accepts re-serializes byte-identically via WriteTraces.
 func FuzzDecodeTrace(f *testing.F) {
 	var one bytes.Buffer
 	if err := WriteTraces(&one, []*Trace{sampleTrace()}); err != nil {
@@ -57,13 +56,9 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, headerFixedBytes))
 	f.Add(append([]byte(Magic), 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, err := DecodeTraces(data)
+		traces, err := DecodeTraces(data)
 		if err != nil {
 			return
-		}
-		traces := make([]*Trace, len(rs))
-		for i, r := range rs {
-			traces[i] = Materialize(r)
 		}
 		var out bytes.Buffer
 		if err := WriteTraces(&out, traces); err != nil {

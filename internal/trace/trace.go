@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"encnvm/internal/mem"
 )
@@ -127,24 +128,43 @@ func (op *Op) Validate() error {
 	return nil
 }
 
-// Trace is one core's operation stream.
+// Trace is one core's operation stream. Its ops are unexported: Append
+// adds one, and At and Ops read them, so an op cannot change under the
+// check record Check keeps. A trace may be shared across goroutines once
+// it is built; Append must not run concurrently with any other method.
 type Trace struct {
-	Ops []Op
+	ops []Op
+
+	// The check record: Check has validated ops[:checked], leaving the
+	// transaction tracker in tx and the first per-op error in err. mu
+	// guards it, since replays on several goroutines check one trace.
+	mu      sync.Mutex
+	checked int
+	tx      txTracker
+	err     error
 }
 
+// New returns a trace over ops, which it takes over: the caller passes
+// a copy it has edited (see Ops) and does not touch it afterwards.
+func New(ops []Op) *Trace { return &Trace{ops: ops} }
+
 // Append adds an op.
-func (t *Trace) Append(op Op) { t.Ops = append(t.Ops, op) }
+func (t *Trace) Append(op Op) { t.ops = append(t.ops, op) }
 
 // Len returns the number of ops.
-func (t *Trace) Len() int { return len(t.Ops) }
+func (t *Trace) Len() int { return len(t.ops) }
 
-// Op copies operation i into dst, satisfying Source.
-func (t *Trace) Op(i int, dst *Op) { *dst = t.Ops[i] }
+// At returns op i.
+func (t *Trace) At(i int) Op { return t.ops[i] }
+
+// Ops returns a copy of the op stream, for callers that edit a trace
+// into a new one (New).
+func (t *Trace) Ops() []Op { return append([]Op(nil), t.ops...) }
 
 // Counts returns how many ops of each kind the trace contains.
 func (t *Trace) Counts() map[Kind]int {
 	out := make(map[Kind]int)
-	for _, op := range t.Ops {
+	for _, op := range t.ops {
 		out[op.Kind]++
 	}
 	return out
@@ -153,7 +173,7 @@ func (t *Trace) Counts() map[Kind]int {
 // Transactions returns the number of complete TxBegin/TxEnd pairs.
 func (t *Trace) Transactions() int {
 	begins, ends := 0, 0
-	for _, op := range t.Ops {
+	for _, op := range t.ops {
 		switch op.Kind {
 		case TxBegin:
 			begins++
@@ -172,30 +192,39 @@ func (t *Trace) Transactions() int {
 // unnested (the runtime's model is one open transaction per core). Every
 // trace ingestion point — replay.NewMachine, the crash harness, traceinfo, the
 // static verifier — calls this before trusting the stream; op indices in
-// downstream diagnostics are positions in Ops and are monotone by
-// construction.
+// downstream diagnostics are positions in the trace.
 func (t *Trace) Validate() error {
 	_, err := t.Check()
 	return err
 }
 
-// Check is Validate that also returns the number of TxEnd ops, counted
-// in the same pass; it satisfies Source.
+// Check is Validate that also returns the number of TxEnd ops. It
+// validates only the ops appended since it last ran and records the
+// result, so checking a trace again, as every replay of it does, costs
+// nothing.
 func (t *Trace) Check() (txEnds int, err error) {
-	var tx txTracker
-	for i := range t.Ops {
-		if err := tx.op(i, &t.Ops[i]); err != nil {
-			return 0, err
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.scan(); err != nil {
+		return 0, err
 	}
-	return tx.ends, tx.finish()
+	return t.tx.ends, t.tx.finish()
 }
 
-// txTracker is the shared streaming validator behind Trace.Check and
-// NewBinReader: per-op structural checks plus transaction nesting in a
-// single pass, so both the in-memory and the binary ingestion paths
-// enforce the same invariants with the same diagnostics. It counts the
-// TxEnds it passes, which replay sizes its per-transaction history by.
+// scan extends the check record over the ops appended since the last
+// scan and returns the first per-op error. An unclosed transaction is
+// not a per-op error: a later Append may close it.
+func (t *Trace) scan() error {
+	for t.err == nil && t.checked < len(t.ops) {
+		t.err = t.tx.op(t.checked, &t.ops[t.checked])
+		t.checked++
+	}
+	return t.err
+}
+
+// txTracker is the streaming validator behind Check: per-op structural
+// checks plus transaction nesting. It counts the TxEnds it passes,
+// which replay sizes its per-transaction history by.
 type txTracker struct {
 	depth int
 	ends  int
@@ -247,7 +276,7 @@ func ValidateAll(traces []*Trace) error {
 // FootprintLines returns the number of distinct data lines touched.
 func (t *Trace) FootprintLines() int {
 	seen := make(map[mem.Addr]bool)
-	for _, op := range t.Ops {
+	for _, op := range t.ops {
 		switch op.Kind {
 		case Read, Write, Clwb:
 			seen[op.Addr.LineAddr()] = true

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +126,141 @@ func TestPropertyCountsSumToLen(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCheck is the reference for Trace.Check: one full scan from op 0,
+// kept apart from the incremental record it is compared with.
+func refCheck(ops []Op) (int, error) {
+	depth, ends := 0, 0
+	for i := range ops {
+		if err := ops[i].Validate(); err != nil {
+			return 0, fmt.Errorf("trace: op %d: %w", i, err)
+		}
+		switch ops[i].Kind {
+		case TxBegin:
+			if depth++; depth > 1 {
+				return 0, fmt.Errorf("trace: nested TxBegin at op %d", i)
+			}
+		case TxEnd:
+			if depth--; depth < 0 {
+				return 0, fmt.Errorf("trace: TxEnd without TxBegin at op %d", i)
+			}
+			ends++
+		}
+	}
+	if depth != 0 {
+		return ends, fmt.Errorf("trace: %d unclosed transactions", depth)
+	}
+	return ends, nil
+}
+
+// randomOp draws an op that is usually valid: transaction markers are
+// common, so nesting and closing errors occur, and about one op in
+// fifty carries a payload its kind must not.
+func randomOp(rng *rand.Rand) Op {
+	op := Op{Kind: Kind(rng.Intn(8))}
+	switch op.Kind {
+	case Read, Clwb, CCWB:
+		op.Addr = mem.Addr(rng.Intn(64)) * mem.LineBytes
+	case Write:
+		op.Addr = mem.Addr(rng.Intn(4096))
+		op.Line[0] = byte(rng.Intn(256))
+		op.CounterAtomic = rng.Intn(4) == 0
+	case Compute:
+		op.Cycles = uint32(1 + rng.Intn(100))
+	}
+	if rng.Intn(50) == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			op.Kind = Kind(8 + rng.Intn(4))
+		case 1:
+			op.Cycles = 0
+			op.Kind = Compute
+		default:
+			op.Addr |= 1 // unaligned for clwb/ccwb, an operand for markers
+		}
+	}
+	return op
+}
+
+// TestCheckMatchesFullScan holds the incremental check record to a full
+// scan: on random op streams, valid and malformed, Check gives the same
+// TxEnd count and error text after every batch of Appends, including
+// Appends after an earlier Check.
+func TestCheckMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for prog := 0; prog < 500; prog++ {
+		tr := &Trace{}
+		var ops []Op
+		for batch := rng.Intn(6); batch >= 0; batch-- {
+			for n := rng.Intn(12); n > 0; n-- {
+				op := randomOp(rng)
+				tr.Append(op)
+				ops = append(ops, op)
+			}
+			if rng.Intn(3) == 0 {
+				continue // append more before checking
+			}
+			gotEnds, gotErr := tr.Check()
+			wantEnds, wantErr := refCheck(ops)
+			if gotEnds != wantEnds || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("program %d, %d ops: Check = %d, %v; full scan = %d, %v",
+					prog, len(ops), gotEnds, gotErr, wantEnds, wantErr)
+			}
+			if err := tr.Validate(); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("program %d: Validate = %v, want %v", prog, err, wantErr)
+			}
+		}
+	}
+}
+
+// TestConcurrentCheck shares one unchecked trace among goroutines that
+// all check it, as replays on several workers do; run under -race.
+func TestConcurrentCheck(t *testing.T) {
+	for _, valid := range []bool{true, false} {
+		tr := &Trace{}
+		for i := 0; i < 1000; i++ {
+			tr.Append(Op{Kind: TxBegin})
+			tr.Append(Op{Kind: Write, Addr: mem.Addr(i) * mem.LineBytes})
+			tr.Append(Op{Kind: TxEnd})
+		}
+		if !valid {
+			tr.Append(Op{Kind: TxEnd})
+		}
+		wantEnds, wantErr := refCheck(tr.Ops())
+		var wg sync.WaitGroup
+		errs := make([]string, 4)
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ends, err := tr.Check()
+				if ends != wantEnds || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					errs[g] = fmt.Sprintf("goroutine %d: Check = %d, %v; want %d, %v", g, ends, err, wantEnds, wantErr)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != "" {
+				t.Error(e)
+			}
+		}
+	}
+}
+
+// TestOpsIsACopy checks that editing what Ops returns leaves the trace
+// alone, and that New builds a trace over the edited copy.
+func TestOpsIsACopy(t *testing.T) {
+	tr := &Trace{}
+	tr.Append(Op{Kind: Read, Addr: 64})
+	ops := tr.Ops()
+	ops[0].Addr = 128
+	if tr.At(0).Addr != 64 {
+		t.Fatalf("editing Ops() changed the trace: addr %#x", tr.At(0).Addr)
+	}
+	if ed := New(ops); ed.Len() != 1 || ed.At(0).Addr != 128 {
+		t.Fatalf("New(edited) = %d ops, op 0 %+v", ed.Len(), ed.At(0))
 	}
 }

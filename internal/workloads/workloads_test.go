@@ -88,8 +88,8 @@ func TestDeterministicTraces(t *testing.T) {
 			t.Errorf("%s: trace lengths differ: %d vs %d", w.Name(), a.Len(), b.Len())
 			continue
 		}
-		for i := range a.Ops {
-			if a.Ops[i] != b.Ops[i] {
+		for i := 0; i < a.Len(); i++ {
+			if a.At(i) != b.At(i) {
 				t.Errorf("%s: op %d differs", w.Name(), i)
 				break
 			}
@@ -105,8 +105,8 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	same := a.Len() == b.Len()
 	if same {
 		identical := true
-		for i := range a.Ops {
-			if a.Ops[i] != b.Ops[i] {
+		for i := 0; i < a.Len(); i++ {
+			if a.At(i) != b.At(i) {
 				identical = false
 				break
 			}
@@ -240,7 +240,7 @@ func TestTracesContainPersistencyOps(t *testing.T) {
 			}
 		}
 		ca := 0
-		for _, op := range rt.Trace().Ops {
+		for _, op := range rt.Trace().Ops() {
 			if op.Kind == trace.Write && op.CounterAtomic {
 				ca++
 			}
@@ -316,7 +316,7 @@ func TestLinkedListWorkload(t *testing.T) {
 		t.Fatalf("linkedlist emitted %d transactions; the protocol is log-free", rt.Trace().Transactions())
 	}
 	ca := 0
-	for _, op := range rt.Trace().Ops {
+	for _, op := range rt.Trace().Ops() {
 		if op.Kind == trace.Write && op.CounterAtomic {
 			ca++
 		}
