@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"encnvm/internal/clitest"
 )
 
 const sampleBench = `goos: linux
@@ -214,6 +216,12 @@ func TestDiffExplicitZeroBaselineGated(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A -v diff over several benchmarks and custom metrics prints its rows,
+// regression marks and missing/added notes in one order, run after run.
+func TestDiffGolden(t *testing.T) {
+	clitest.Golden(t, run, "verbose.golden", "-v", filepath.Join("testdata", "old.json"), filepath.Join("testdata", "new.json"))
 }
 
 func TestDiffUsageAndParseErrors(t *testing.T) {

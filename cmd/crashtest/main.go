@@ -45,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -60,30 +61,37 @@ import (
 )
 
 func main() {
-	design := flag.String("design", "sca", "registered machine: "+strings.Join(machine.Names(), "|"))
-	specPath := flag.String("spec", "", "load a declarative machine spec from this JSON file (overrides -design/-cores)")
-	workload := flag.String("workload", "all", "workload or 'all': "+strings.Join(workloads.ExtendedNames(), "|"))
-	points := flag.Int("points", 32, "crash points per sweep")
-	legacy := flag.Bool("legacy", false, "use pre-paper (legacy) persistency primitives")
-	cores := flag.Int("cores", 1, "number of cores")
-	items := flag.Int("items", 128, "initial structure population")
-	ops := flag.Int("ops", 48, "operations per core")
-	seed := flag.Int64("seed", 42, "workload RNG seed")
-	jobs := flag.Int("j", 0, "concurrent crash-point injections; <= 0 means GOMAXPROCS")
-	campaign := flag.Bool("campaign", false, "sweep the per-op crash-point space (class-pruned; see -exhaustive)")
-	exhaustive := flag.Bool("exhaustive", false, "campaign: simulate every gap instead of class representatives")
-	validateClasses := flag.Int("validate-classes", 0, "campaign: re-simulate up to K members per class, fail on divergence")
-	validateSeed := flag.Int64("validate-seed", 1, "campaign: member-sampling seed")
-	checkpoint := flag.String("checkpoint", "", "campaign: stream per-class verdicts to this JSONL file")
-	checkpointEvery := flag.Int("checkpoint-every", 1, "campaign: flush the checkpoint after this many classes")
-	resume := flag.Bool("resume", false, "campaign: resume from -checkpoint, skipping completed classes")
-	campaignOut := flag.String("campaign-out", "", "campaign: write the JSON campaign report here ('-' for stdout)")
-	haltAfter := flag.Int("halt-after", 0, "campaign: halt after N newly simulated classes (exit 3; kill/resume testing)")
-	schedule := flag.String("schedule", "", "replay a verifier counterexample file and exit")
-	version := flag.Bool("version", false, "print build/version information and exit")
-	perfOpts := perf.RegisterFlags(flag.CommandLine)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage:
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crashtest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	design := fs.String("design", "sca", "registered machine: "+strings.Join(machine.Names(), "|"))
+	specPath := fs.String("spec", "", "load a declarative machine spec from this JSON file (overrides -design/-cores)")
+	workload := fs.String("workload", "all", "workload or 'all': "+strings.Join(workloads.ExtendedNames(), "|"))
+	points := fs.Int("points", 32, "crash points per sweep")
+	legacy := fs.Bool("legacy", false, "use pre-paper (legacy) persistency primitives")
+	cores := fs.Int("cores", 1, "number of cores")
+	items := fs.Int("items", 128, "initial structure population")
+	ops := fs.Int("ops", 48, "operations per core")
+	seed := fs.Int64("seed", 42, "workload RNG seed")
+	jobs := fs.Int("j", 0, "concurrent crash-point injections; <= 0 means GOMAXPROCS")
+	campaign := fs.Bool("campaign", false, "sweep the per-op crash-point space (class-pruned; see -exhaustive)")
+	exhaustive := fs.Bool("exhaustive", false, "campaign: simulate every gap instead of class representatives")
+	validateClasses := fs.Int("validate-classes", 0, "campaign: re-simulate up to K members per class, fail on divergence")
+	validateSeed := fs.Int64("validate-seed", 1, "campaign: member-sampling seed")
+	checkpoint := fs.String("checkpoint", "", "campaign: stream per-class verdicts to this JSONL file")
+	checkpointEvery := fs.Int("checkpoint-every", 1, "campaign: flush the checkpoint after this many classes")
+	resume := fs.Bool("resume", false, "campaign: resume from -checkpoint, skipping completed classes")
+	campaignOut := fs.String("campaign-out", "", "campaign: write the JSON campaign report here ('-' for stdout)")
+	haltAfter := fs.Int("halt-after", 0, "campaign: halt after N newly simulated classes (exit 3; kill/resume testing)")
+	schedule := fs.String("schedule", "", "replay a verifier counterexample file and exit")
+	version := fs.Bool("version", false, "print build/version information and exit")
+	perfOpts := perf.RegisterFlags(fs)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, `Usage:
   crashtest [-design sca] [-workload all] [-points 32] [-legacy] [-cores 1] [-j N]
   crashtest -spec machine.json [-workload all] ...
   crashtest -campaign [-exhaustive] [-validate-classes K] [-checkpoint f.jsonl] [-resume]
@@ -97,27 +105,32 @@ Exit status (every mode):
 
 Flags:
 `)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
-		perf.PrintVersion(os.Stdout, "crashtest")
-		return
+		perf.PrintVersion(stdout, "crashtest")
+		return 0
 	}
 	if *schedule != "" {
-		os.Exit(replaySchedule(*schedule))
+		return replaySchedule(stdout, stderr, *schedule)
 	}
-	session, err := perfOpts.Begin("crashtest", os.Args[1:])
+	session, err := perfOpts.Begin("crashtest", args)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	spec, err := machine.LoadSpec(*specPath, *design, *cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	var targets []workloads.Workload
 	if *workload == "all" {
@@ -125,30 +138,30 @@ Flags:
 	} else {
 		w, err := workloads.ByName(*workload)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		targets = []workloads.Workload{w}
 	}
 
 	if !*campaign && (*exhaustive || *validateClasses > 0 || *checkpoint != "" ||
 		*resume || *campaignOut != "" || *haltAfter > 0) {
-		fmt.Fprintln(os.Stderr, "crashtest: campaign flags need -campaign")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "crashtest: campaign flags need -campaign")
+		return 2
 	}
 	if !*campaign && *points < 1 {
-		fmt.Fprintln(os.Stderr, "crashtest: -points must be at least 1")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "crashtest: -points must be at least 1")
+		return 2
 	}
 	if len(targets) > 1 && (*checkpoint != "" || *campaignOut != "") {
-		fmt.Fprintln(os.Stderr, "crashtest: -checkpoint/-campaign-out cover one campaign; pick a single -workload")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "crashtest: -checkpoint/-campaign-out cover one campaign; pick a single -workload")
+		return 2
 	}
 
 	p := workloads.Params{Seed: *seed, Items: *items, Ops: *ops, Legacy: *legacy}
 	if err := p.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *jobs > 0 {
 		session.SetWorkers(*jobs)
@@ -170,51 +183,52 @@ Flags:
 			copts.GridPoints = *points
 		}
 		start := time.Now()
-		run, err := crash.RunCampaign(spec, w, p, copts)
+		res, err := crash.RunCampaign(spec, w, p, copts)
 		if errors.Is(err, crash.ErrCampaignHalted) {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			session.End()
-			os.Exit(3)
+			return 3
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		rep := run.Report
+		rep := res.Report
 		if *campaign {
-			run.Campaign.WallMS = time.Since(start).Milliseconds()
-			fmt.Printf("%v  classes: %d, cells: %d, simulated: %d, pruned: %d (%.1f%%)\n",
+			res.Campaign.WallMS = time.Since(start).Milliseconds()
+			fmt.Fprintf(stdout, "%v  classes: %d, cells: %d, simulated: %d, pruned: %d (%.1f%%)\n",
 				rep, rep.Classes, rep.Cells, rep.Simulated, rep.Pruned, 100*rep.PrunedFraction)
-			if err := writeCampaignReport(*campaignOut, &run.Campaign); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+			if err := writeCampaignReport(stdout, *campaignOut, &res.Campaign); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 		} else {
-			fmt.Println(rep)
+			fmt.Fprintln(stdout, rep)
 		}
 		for _, f := range rep.Failures() {
 			anyFail = true
-			fmt.Printf("  crash at %10.1f ns: %s (lost counter lines: %d)\n",
+			fmt.Fprintf(stdout, "  crash at %10.1f ns: %s (lost counter lines: %d)\n",
 				f.CrashAt.Nanoseconds(), f.Error, f.LostCounterLines)
 		}
 	}
 	if err := session.End(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if anyFail {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("every crash point recovered consistently")
+	fmt.Fprintln(stdout, "every crash point recovered consistently")
+	return 0
 }
 
 // writeCampaignReport emits the schema-tagged campaign report to the
 // given path ("-" for stdout, "" for nowhere).
-func writeCampaignReport(path string, camp *crash.CampaignReport) error {
+func writeCampaignReport(stdout io.Writer, path string, camp *crash.CampaignReport) error {
 	if path == "" {
 		return nil
 	}
-	out := os.Stdout
+	out := stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
@@ -230,22 +244,22 @@ func writeCampaignReport(path string, camp *crash.CampaignReport) error {
 
 // replaySchedule rebuilds the trace a counterexample file describes and
 // replays its crash schedule, returning the process exit code.
-func replaySchedule(path string) int {
+func replaySchedule(stdout, stderr io.Writer, path string) int {
 	f, err := verify.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
+		fmt.Fprintf(stderr, "crashtest: %v\n", err)
 		return 2
 	}
 	w, err := workloads.ByName(f.Workload)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
+		fmt.Fprintf(stderr, "crashtest: %v\n", err)
 		return 2
 	}
 	mode := persist.Undo
 	if f.TxMode == "redo" {
 		mode = persist.Redo
 	} else if f.TxMode != "" && f.TxMode != "undo" {
-		fmt.Fprintf(os.Stderr, "crashtest: unknown tx mode %q\n", f.TxMode)
+		fmt.Fprintf(stderr, "crashtest: unknown tx mode %q\n", f.TxMode)
 		return 2
 	}
 	cores := f.Cores
@@ -253,7 +267,7 @@ func replaySchedule(path string) int {
 		cores = 1
 	}
 	if f.Schedule.Core < 0 || f.Schedule.Core >= cores {
-		fmt.Fprintf(os.Stderr, "crashtest: schedule core %d out of range (%d cores)\n",
+		fmt.Fprintf(stderr, "crashtest: schedule core %d out of range (%d cores)\n",
 			f.Schedule.Core, cores)
 		return 2
 	}
@@ -262,14 +276,14 @@ func replaySchedule(path string) int {
 		Legacy: f.Legacy, TxMode: mode,
 	}
 	if err := p.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "crashtest: %s: %v\n", path, err)
+		fmt.Fprintf(stderr, "crashtest: %s: %v\n", path, err)
 		return 2
 	}
 	tr := crash.BuildTraces(w, p, cores)[f.Schedule.Core]
 	if f.Mutant != "" {
 		m, err := check.MutantByName(tr, f.Mutant)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
+			fmt.Fprintf(stderr, "crashtest: %v\n", err)
 			return 2
 		}
 		tr = m.Trace
@@ -277,11 +291,11 @@ func replaySchedule(path string) int {
 	arena := persist.ArenaFor(f.Schedule.Core, crash.DefaultArena)
 	out, err := crash.ReplaySchedule(w, tr, arena, &f.Schedule)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
+		fmt.Fprintf(stderr, "crashtest: %v\n", err)
 		return 2
 	}
-	fmt.Printf("%s %s/%s: schedule %s\n", path, f.Workload, f.TxMode, &f.Schedule)
-	fmt.Println(out)
+	fmt.Fprintf(stdout, "%s %s/%s: schedule %s\n", path, f.Workload, f.TxMode, &f.Schedule)
+	fmt.Fprintln(stdout, out)
 	if !out.Reproduced {
 		return 1
 	}

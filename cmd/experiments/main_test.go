@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,22 +39,25 @@ func TestStdoutCarriesOnlyFigureRows(t *testing.T) {
 	}
 }
 
-// The full figure set must be byte-identical whatever -j is — the
-// determinism contract the parallel fan-out promises.
+// The full figure set must match testdata/golden_quick.txt byte for
+// byte whatever -j is — the determinism contract the parallel fan-out
+// promises.
 func TestOutputByteIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick-scale figure set twice")
 	}
-	outs := make(map[string][]byte)
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range []string{"1", "8"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-figure", "all", "-scale", "quick", "-j", j}, &stdout, &stderr); code != 0 {
 			t.Fatalf("-j %s: exit %d, stderr:\n%s", j, code, stderr.String())
 		}
-		outs[j] = stdout.Bytes()
-	}
-	if !bytes.Equal(outs["1"], outs["8"]) {
-		t.Error("-j 1 and -j 8 stdout differ")
+		if !bytes.Equal(stdout.Bytes(), golden) {
+			t.Errorf("-j %s stdout differs from testdata/golden_quick.txt", j)
+		}
 	}
 }
 

@@ -24,7 +24,10 @@
 // generation is deterministic, so the file replays byte-identically.
 // -replay-trace skips workload generation entirely and replays a
 // recorded file, decoding records in place — the two paths produce
-// identical manifests for the same workload and parameters.
+// identical manifests for the same workload and parameters. A trace file
+// records neither: -workload labels the replay, and -verify fails unless
+// the final image holds that workload's published structure; the
+// manifest's params come from -items, -ops, -opspertx and -seed.
 package main
 
 import (
@@ -45,78 +48,98 @@ import (
 )
 
 func main() {
-	design := flag.String("design", "sca", "registered machine: "+strings.Join(machine.Names(), "|"))
-	specPath := flag.String("spec", "", "load a declarative machine spec from this JSON file (overrides -design/-cores)")
-	dumpSpec := flag.Bool("dump-spec", false, "print the resolved machine spec as JSON and exit")
-	workload := flag.String("workload", "btree", "workload: "+strings.Join(workloads.ExtendedNames(), "|"))
-	cores := flag.Int("cores", 1, "number of cores")
-	items := flag.Int("items", 4096, "initial structure population")
-	ops := flag.Int("ops", 256, "measured operations per core")
-	opsPerTx := flag.Int("opspertx", 1, "operations per transaction")
-	seed := flag.Int64("seed", 42, "workload RNG seed")
-	verify := flag.Bool("verify", true, "validate the final NVM image end-to-end")
-	showStats := flag.Bool("stats", false, "dump detailed statistics")
-	jsonOut := flag.Bool("json", false, "print the run manifest as JSON on stdout instead of text")
-	traceOut := flag.String("trace-out", "", "write a Perfetto/chrome://tracing timeline (simulated time) to this file")
-	metricsOut := flag.String("metrics-out", "", "write windowed JSONL time-series metrics to this file")
-	metricsWindowNS := flag.Uint64("metrics-window-ns", 1000, "metrics window length in simulated nanoseconds")
-	manifestOut := flag.String("manifest-out", "", "write the machine-readable run manifest to this file")
-	recordTrace := flag.String("record-trace", "", "serialize the workload's per-core traces to this binary trace file before running")
-	replayTrace := flag.String("replay-trace", "", "replay a recorded binary trace file instead of generating the workload (-workload must name the recorded workload for -verify)")
-	version := flag.Bool("version", false, "print build/version information and exit")
-	perfOpts := perf.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	design := fs.String("design", "sca", "registered machine: "+strings.Join(machine.Names(), "|"))
+	specPath := fs.String("spec", "", "load a declarative machine spec from this JSON file (overrides -design/-cores)")
+	dumpSpec := fs.Bool("dump-spec", false, "print the resolved machine spec as JSON and exit")
+	workload := fs.String("workload", "btree", "workload: "+strings.Join(workloads.ExtendedNames(), "|"))
+	cores := fs.Int("cores", 1, "number of cores")
+	items := fs.Int("items", 4096, "initial structure population")
+	ops := fs.Int("ops", 256, "measured operations per core")
+	opsPerTx := fs.Int("opspertx", 1, "operations per transaction")
+	seed := fs.Int64("seed", 42, "workload RNG seed")
+	verify := fs.Bool("verify", true, "validate the final NVM image end-to-end")
+	showStats := fs.Bool("stats", false, "dump detailed statistics")
+	jsonOut := fs.Bool("json", false, "print the run manifest as JSON on stdout instead of text")
+	traceOut := fs.String("trace-out", "", "write a Perfetto/chrome://tracing timeline (simulated time) to this file")
+	metricsOut := fs.String("metrics-out", "", "write windowed JSONL time-series metrics to this file")
+	metricsWindowNS := fs.Uint64("metrics-window-ns", 1000, "metrics window length in simulated nanoseconds")
+	manifestOut := fs.String("manifest-out", "", "write the machine-readable run manifest to this file")
+	recordTrace := fs.String("record-trace", "", "serialize the workload's per-core traces to this binary trace file before running")
+	replayTrace := fs.String("replay-trace", "", "replay a recorded binary trace file instead of generating the workload; the file names neither workload nor params, so -workload (checked by -verify) and -items/-ops/-opspertx/-seed label the run and its manifest")
+	version := fs.Bool("version", false, "print build/version information and exit")
+	perfOpts := perf.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
-		perf.PrintVersion(os.Stdout, "nvmsim")
-		return
+		perf.PrintVersion(stdout, "nvmsim")
+		return 0
 	}
-	session, err := perfOpts.Begin("nvmsim", os.Args[1:])
+	session, err := perfOpts.Begin("nvmsim", args)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	spec, err := machine.LoadSpec(*specPath, *design, *cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *dumpSpec {
 		resolved, err := spec.Resolved()
 		if err == nil {
-			err = resolved.Encode(os.Stdout)
+			err = resolved.Encode(stdout)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 	if _, err := workloads.ByName(*workload); err != nil {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (valid: %s)\n",
+		fmt.Fprintf(stderr, "unknown workload %q (valid: %s)\n",
 			*workload, strings.Join(workloads.ExtendedNames(), "|"))
-		os.Exit(2)
+		return 2
 	}
 
 	var pb *probe.Probe
 	var sinks []*os.File
-	openSink := func(path string) io.Writer {
+	openSink := func(path string) (io.Writer, error) {
 		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err == nil {
+			sinks = append(sinks, f)
 		}
-		sinks = append(sinks, f)
-		return f
+		return f, err
 	}
 	if *traceOut != "" || *metricsOut != "" {
 		pb = probe.New()
 		if *traceOut != "" {
-			pb.AttachTrace(openSink(*traceOut))
+			f, err := openSink(*traceOut)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			pb.AttachTrace(f)
 		}
 		if *metricsOut != "" {
-			pb.AttachMetrics(openSink(*metricsOut), sim.Time(*metricsWindowNS)*sim.Nanosecond)
+			f, err := openSink(*metricsOut)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			pb.AttachMetrics(f, sim.Time(*metricsWindowNS)*sim.Nanosecond)
 		}
 	}
 
@@ -124,20 +147,20 @@ func main() {
 		Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx,
 	}
 	if err := params.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	var res core.Result
 	switch {
 	case *replayTrace != "":
 		if *recordTrace != "" {
-			fmt.Fprintln(os.Stderr, "-record-trace and -replay-trace are mutually exclusive")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-record-trace and -replay-trace are mutually exclusive")
+			return 2
 		}
 		readers, err := trace.ReadTracesFile(*replayTrace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if *specPath == "" {
 			// The recorded file fixes the core count; the registered-spec
@@ -149,21 +172,21 @@ func main() {
 			res, err = core.Run(m, *workload, readers, pb)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	default:
 		if *recordTrace != "" {
 			w, _ := workloads.ByName(*workload)
 			cfg, err := spec.Config()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			traces := crash.BuildTraces(w, params.WithDefaults(), cfg.NumCores)
 			if err := trace.WriteTracesFile(*recordTrace, traces); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 		}
 		var err error
@@ -174,18 +197,18 @@ func main() {
 			Probe:    pb,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	if err := pb.Close(res.System.Eng.Now()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	for _, f := range sinks {
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 
@@ -201,43 +224,44 @@ func main() {
 				err = f.Close()
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 		}
 		if *jsonOut {
-			if err := m.Encode(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := m.Encode(stdout); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 		}
 	}
 
 	if !*jsonOut {
-		fmt.Printf("design            %v\n", res.Design)
-		fmt.Printf("workload          %s (%d cores)\n", res.Workload, res.Cores)
-		fmt.Printf("transactions      %d\n", res.Transactions)
-		fmt.Printf("measured runtime  %.1f us\n", res.Runtime.Nanoseconds()/1000)
-		fmt.Printf("total runtime     %.1f us (incl. setup)\n", res.TotalRuntime.Nanoseconds()/1000)
-		fmt.Printf("throughput        %.0f tx/s\n", res.Throughput)
-		fmt.Printf("NVM bytes written %d\n", res.BytesWritten)
+		fmt.Fprintf(stdout, "design            %v\n", res.Design)
+		fmt.Fprintf(stdout, "workload          %s (%d cores)\n", res.Workload, res.Cores)
+		fmt.Fprintf(stdout, "transactions      %d\n", res.Transactions)
+		fmt.Fprintf(stdout, "measured runtime  %.1f us\n", res.Runtime.Nanoseconds()/1000)
+		fmt.Fprintf(stdout, "total runtime     %.1f us (incl. setup)\n", res.TotalRuntime.Nanoseconds()/1000)
+		fmt.Fprintf(stdout, "throughput        %.0f tx/s\n", res.Throughput)
+		fmt.Fprintf(stdout, "NVM bytes written %d\n", res.BytesWritten)
 	}
 
 	if *verify {
 		if err := core.VerifyResult(res); err != nil {
-			fmt.Fprintf(os.Stderr, "VERIFICATION FAILED: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "VERIFICATION FAILED: %v\n", err)
+			return 1
 		}
 		if !*jsonOut {
-			fmt.Println("verification      final NVM image decrypts and validates OK")
+			fmt.Fprintln(stdout, "verification      final NVM image decrypts and validates OK")
 		}
 	}
 	if *showStats && !*jsonOut {
-		fmt.Println("\n--- statistics ---")
-		fmt.Print(res.Stats.String())
+		fmt.Fprintln(stdout, "\n--- statistics ---")
+		fmt.Fprint(stdout, res.Stats.String())
 	}
 	if err := session.End(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }

@@ -2,10 +2,10 @@
 // persistency-protocol bugs, with three independent halves:
 //
 // Source analysis (default): runs the internal/check/analyzers suite —
-// rawspacewrite (stores that bypass the trace), persistorder (writebacks
-// a control-flow path leaves unordered) and maprange (map order leaking
-// into output) — over the non-test Go files of package directories and
-// prints findings in the familiar file:line:col form.
+// rawspacewrite (stores that bypass the trace) and persistorder
+// (writebacks a control-flow path leaves unordered) — over the non-test
+// Go files of package directories and prints findings in the familiar
+// file:line:col form.
 //
 // Trace verification (-verify): builds every built-in workload trace in
 // both transaction modes and statically enumerates every crash-point
@@ -51,6 +51,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -69,127 +70,135 @@ import (
 	"encnvm/internal/workloads"
 )
 
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: persistcheck [-list] [-analyzers names] [dir ...]\n"+
-			"       persistcheck -verify [-items N] [-ops N] [-opspertx N] [-seed N] [-cex-dir dir] [-spec machine.json]\n"+
-			"       persistcheck -enginecheck [-cex-dir dir] [spec.json ...]\n"+
-			"       persistcheck -mutants\n\n"+
-			"Exit status: 0 clean, 1 findings or violations, 2 usage or I/O error.\n\n")
-	flag.PrintDefaults()
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	names := flag.String("analyzers", "all", "comma-separated analyzer subset to run")
-	doVerify := flag.Bool("verify", false, "statically verify all built-in workload traces instead of analyzing source")
-	items := flag.Int("items", 64, "verify: initial structure population")
-	ops := flag.Int("ops", 24, "verify: measured operations")
-	opsPerTx := flag.Int("opspertx", 4, "verify: operations per transaction")
-	seed := flag.Int64("seed", 7, "verify: workload RNG seed")
-	cexDir := flag.String("cex-dir", "", "verify/enginecheck: write counterexamples to this directory")
-	specPath := flag.String("spec", "", "verify: validate this machine-spec JSON file and resolve its configuration first")
-	engineCheck := flag.Bool("enginecheck", false, "contract-check every registry engine (and any spec.json arguments) instead of analyzing source")
-	mutantsMode := flag.Bool("mutants", false, "self-test: every seeded bad-engine mutant must be caught by an expected rule")
-	version := flag.Bool("version", false, "print build/version information and exit")
-	flag.Usage = usage
-	flag.Parse()
+// run is main with its streams and exit code lifted out for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("persistcheck", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("list", false, "list analyzers and exit")
+	names := flags.String("analyzers", "all", "comma-separated analyzer subset to run")
+	doVerify := flags.Bool("verify", false, "statically verify all built-in workload traces instead of analyzing source")
+	items := flags.Int("items", 64, "verify: initial structure population")
+	ops := flags.Int("ops", 24, "verify: measured operations")
+	opsPerTx := flags.Int("opspertx", 4, "verify: operations per transaction")
+	seed := flags.Int64("seed", 7, "verify: workload RNG seed")
+	cexDir := flags.String("cex-dir", "", "verify/enginecheck: write counterexamples to this directory")
+	specPath := flags.String("spec", "", "verify: validate this machine-spec JSON file and resolve its configuration first")
+	engineCheck := flags.Bool("enginecheck", false, "contract-check every registry engine (and any spec.json arguments) instead of analyzing source")
+	mutantsMode := flags.Bool("mutants", false, "self-test: every seeded bad-engine mutant must be caught by an expected rule")
+	version := flags.Bool("version", false, "print build/version information and exit")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr,
+			"usage: persistcheck [-list] [-analyzers names] [dir ...]\n"+
+				"       persistcheck -verify [-items N] [-ops N] [-opspertx N] [-seed N] [-cex-dir dir] [-spec machine.json]\n"+
+				"       persistcheck -enginecheck [-cex-dir dir] [spec.json ...]\n"+
+				"       persistcheck -mutants\n\n"+
+				"Exit status: 0 clean, 1 findings or violations, 2 usage or I/O error.\n\n")
+		flags.PrintDefaults()
+	}
+	if err := flags.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
-		perf.PrintVersion(os.Stdout, "persistcheck")
-		return
+		perf.PrintVersion(stdout, "persistcheck")
+		return 0
 	}
 	if *list {
-		printCatalog()
-		return
+		printCatalog(stdout)
+		return 0
 	}
 	if *mutantsMode {
-		os.Exit(runMutants(*cexDir))
+		return runMutants(stdout, stderr, *cexDir)
 	}
 	if *engineCheck {
-		os.Exit(runEngineCheck(flag.Args(), *cexDir))
+		return runEngineCheck(stdout, stderr, flags.Args(), *cexDir)
 	}
 	if *doVerify {
 		p := workloads.Params{Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx}
 		if err := p.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
+			return 2
 		}
 		if *specPath != "" {
 			r, cfg, err := loadSpec(*specPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "persistcheck: %v\n", err)
+				return 2
 			}
-			fmt.Printf("machine spec %s: engine %s, backend %s, %d core(s), design %v — OK\n",
+			fmt.Fprintf(stdout, "machine spec %s: engine %s, backend %s, %d core(s), design %v — OK\n",
 				*specPath, r.Engine, r.Backend, cfg.NumCores, cfg.Design)
 		}
-		os.Exit(runVerify(p, *cexDir))
+		return runVerify(stdout, stderr, p, *cexDir)
 	}
 	if *specPath != "" {
-		fmt.Fprintln(os.Stderr, "persistcheck: -spec requires -verify")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "persistcheck: -spec requires -verify")
+		return 2
 	}
 
 	as, err := analyzers.ByName(*names)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "persistcheck: %v\n", err)
+		return 2
 	}
-	roots := flag.Args()
+	roots := flags.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	for i, root := range roots {
+	findings := 0
+	for _, root := range roots {
 		root = strings.TrimSuffix(root, "/...")
 		if root == "" {
 			root = "."
 		}
-		roots[i] = root
-	}
-	findings := 0
-	for _, root := range roots {
 		dirs, err := analyzers.Walk(root)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
+			return 2
 		}
 		for _, dir := range dirs {
-			fs, err := analyzers.RunDir(dir, as)
+			found, err := analyzers.RunDir(dir, as)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "persistcheck: %v\n", err)
+				return 2
 			}
-			for _, f := range fs {
-				fmt.Printf("%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
+			for _, f := range found {
+				fmt.Fprintf(stdout, "%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
 				findings++
 			}
 		}
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "persistcheck: %d finding(s)\n", findings)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "persistcheck: %d finding(s)\n", findings)
+		return 1
 	}
+	return 0
 }
 
 // printCatalog lists every analyzer and check pass the tool exposes,
 // with the one-line doc each maintains for exactly this listing.
-func printCatalog() {
-	fmt.Println("Source analyzers (per-package, default set):")
+func printCatalog(w io.Writer) {
+	fmt.Fprintln(w, "Source analyzers (per-package, default set):")
 	for _, a := range analyzers.All() {
-		fmt.Printf("  %-14s %s\n", a.Name, a.Doc)
+		fmt.Fprintf(w, "  %-14s %s\n", a.Name, a.Doc)
 	}
-	fmt.Println("\nTrace lint rules (traceinfo -check):")
+	fmt.Fprintln(w, "\nTrace lint rules (traceinfo -check):")
 	for _, d := range check.RuleDocs() {
-		fmt.Printf("  %s\n", d)
+		fmt.Fprintf(w, "  %s\n", d)
 	}
-	fmt.Println("\nTrace verifier invariants (-verify):")
+	fmt.Fprintln(w, "\nTrace verifier invariants (-verify):")
 	for _, v := range verify.Invariants() {
-		fmt.Printf("  %-4s %s\n", v.ID, v.Doc)
+		fmt.Fprintf(w, "  %-4s %s\n", v.ID, v.Doc)
 	}
-	fmt.Println("\nEngine contract rules (-enginecheck):")
+	fmt.Fprintln(w, "\nEngine contract rules (-enginecheck):")
 	for _, r := range enginecheck.Rules() {
-		fmt.Printf("  %-4s %s\n", r.ID, r.Doc)
+		fmt.Fprintf(w, "  %-4s %s\n", r.ID, r.Doc)
 	}
 }
 
@@ -198,10 +207,10 @@ func printCatalog() {
 // command line under its resolved configuration, returning the process
 // exit code. V-rule findings are written to cexDir as replayable
 // abstract-trace counterexamples.
-func runEngineCheck(specPaths []string, cexDir string) int {
+func runEngineCheck(stdout, stderr io.Writer, specPaths []string, cexDir string) int {
 	if cexDir != "" {
 		if err := os.MkdirAll(cexDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 			return 2
 		}
 	}
@@ -214,7 +223,7 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 	for _, name := range engines.Names() {
 		e, err := engines.ByName(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 			return 2
 		}
 		targets = append(targets, target{e, config.Default(e.Design), "registry"})
@@ -224,7 +233,7 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 	for _, path := range specPaths {
 		spec, cfg, err := loadSpec(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 			return 2
 		}
 		eng, _ := engines.ByName(spec.Engine) // validated by loadSpec
@@ -237,14 +246,14 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 		if !rep.Clean() {
 			status = fmt.Sprintf("%d finding(s)", len(rep.Findings))
 		}
-		fmt.Printf("%-14s %2d abstract programs (%s): %s\n",
+		fmt.Fprintf(stdout, "%-14s %2d abstract programs (%s): %s\n",
 			t.eng.Name, rep.Programs, t.src, status)
 		if rep.Clean() {
 			continue
 		}
 		exit = 1
 		for i, f := range rep.Findings {
-			fmt.Printf("  %s\n", f)
+			fmt.Fprintf(stdout, "  %s\n", f)
 			if f.Violation == nil || cexDir == "" {
 				continue
 			}
@@ -252,10 +261,10 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			path := filepath.Join(cexDir,
 				fmt.Sprintf("%s-%s-%d.json", t.eng.Name, f.Rule, i))
 			if err := file.WriteFile(path); err != nil {
-				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+				fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 				return 2
 			}
-			fmt.Printf("    counterexample written to %s\n", path)
+			fmt.Fprintf(stdout, "    counterexample written to %s\n", path)
 		}
 	}
 	return exit
@@ -267,10 +276,10 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 // the contract rules have teeth, run in CI next to the clean gate. With
 // cexDir, each mutant's first V-rule finding is written out as a
 // replayable counterexample.
-func runMutants(cexDir string) int {
+func runMutants(stdout, stderr io.Writer, cexDir string) int {
 	if cexDir != "" {
 		if err := os.MkdirAll(cexDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 			return 2
 		}
 	}
@@ -280,7 +289,7 @@ func runMutants(cexDir string) int {
 		rep := enginecheck.Check(m.Engine, nil)
 		if rep.Clean() {
 			bad++
-			fmt.Printf("%-26s ESCAPED — %s\n", m.Engine.Name, m.Why)
+			fmt.Fprintf(stdout, "%-26s ESCAPED — %s\n", m.Engine.Name, m.Why)
 			continue
 		}
 		var rules []string
@@ -299,11 +308,11 @@ func runMutants(cexDir string) int {
 		}
 		if !matched {
 			bad++
-			fmt.Printf("%-26s caught by %v, want one of %v\n",
+			fmt.Fprintf(stdout, "%-26s caught by %v, want one of %v\n",
 				m.Engine.Name, rules, m.Expect)
 			continue
 		}
-		fmt.Printf("%-26s caught by %v (expected %v)\n",
+		fmt.Fprintf(stdout, "%-26s caught by %v (expected %v)\n",
 			m.Engine.Name, rules, m.Expect)
 		if cexDir == "" {
 			continue
@@ -317,14 +326,14 @@ func runMutants(cexDir string) int {
 			path := filepath.Join(cexDir,
 				fmt.Sprintf("%s-%s.json", m.Engine.Name, f.Rule))
 			if err := file.WriteFile(path); err != nil {
-				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+				fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 				return 2
 			}
-			fmt.Printf("    counterexample written to %s\n", path)
+			fmt.Fprintf(stdout, "    counterexample written to %s\n", path)
 			break
 		}
 	}
-	fmt.Printf("%d/%d mutants caught by their expected rules\n",
+	fmt.Fprintf(stdout, "%d/%d mutants caught by their expected rules\n",
 		len(catalog)-bad, len(catalog))
 	if bad > 0 {
 		return 1
@@ -355,10 +364,10 @@ func loadSpec(path string) (*machine.Spec, *config.Config, error) {
 
 // runVerify statically verifies every built-in workload trace in both
 // transaction modes, returning the process exit code.
-func runVerify(p workloads.Params, cexDir string) int {
+func runVerify(stdout, stderr io.Writer, p workloads.Params, cexDir string) int {
 	if cexDir != "" {
 		if err := os.MkdirAll(cexDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+			fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 			return 2
 		}
 	}
@@ -371,7 +380,7 @@ func runVerify(p workloads.Params, cexDir string) int {
 			wp.TxMode = mode
 			tr := crash.BuildTraces(w, wp, 1)[0]
 			if err := tr.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "persistcheck: %s/%s: invalid trace: %v\n",
+				fmt.Fprintf(stderr, "persistcheck: %s/%s: invalid trace: %v\n",
 					w.Name(), mode, err)
 				return 2
 			}
@@ -380,14 +389,14 @@ func runVerify(p workloads.Params, cexDir string) int {
 			if !res.Clean() {
 				status = fmt.Sprintf("%d VIOLATION(S)", len(res.Violations))
 			}
-			fmt.Printf("%-10s %-4s  %6d ops, %4d epochs, %5d crash classes: %s\n",
+			fmt.Fprintf(stdout, "%-10s %-4s  %6d ops, %4d epochs, %5d crash classes: %s\n",
 				w.Name(), mode, res.Ops, res.Epochs, res.Classes, status)
 			if res.Clean() {
 				continue
 			}
 			exit = 1
 			for i, v := range res.Violations {
-				fmt.Printf("  %v\n", v)
+				fmt.Fprintf(stdout, "  %v\n", v)
 				if v.Schedule == nil || cexDir == "" {
 					continue
 				}
@@ -400,10 +409,10 @@ func runVerify(p workloads.Params, cexDir string) int {
 				path := filepath.Join(cexDir,
 					fmt.Sprintf("%s-%s-%s-op%d-%d.json", w.Name(), mode, v.Inv, v.OpIndex, i))
 				if err := f.WriteFile(path); err != nil {
-					fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
+					fmt.Fprintf(stderr, "persistcheck: %v\n", err)
 					return 2
 				}
-				fmt.Printf("    counterexample written to %s\n", path)
+				fmt.Fprintf(stdout, "    counterexample written to %s\n", path)
 			}
 		}
 	}

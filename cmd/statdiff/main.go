@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -23,37 +24,49 @@ import (
 )
 
 func main() {
-	all := flag.Bool("all", false, "print unchanged rows too")
-	version := flag.Bool("version", false, "print build/version information and exit")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: statdiff [-all] old.manifest.json new.manifest.json")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("statdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	all := fs.Bool("all", false, "print unchanged rows too")
+	version := fs.Bool("version", false, "print build/version information and exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: statdiff [-all] old.manifest.json new.manifest.json")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *version {
-		perf.PrintVersion(os.Stdout, "statdiff")
-		return
+		perf.PrintVersion(stdout, "statdiff")
+		return 0
 	}
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
-	oldM, err := load(flag.Arg(0))
+	oldM, err := load(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	newM, err := load(flag.Arg(1))
+	newM, err := load(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	fmt.Printf("old: %s / %s / %d cores (seed %d)\n", oldM.Design, oldM.Workload, oldM.Cores, oldM.Params.Seed)
-	fmt.Printf("new: %s / %s / %d cores (seed %d)\n", newM.Design, newM.Workload, newM.Cores, newM.Params.Seed)
+	fmt.Fprintf(stdout, "old: %s / %s / %d cores (seed %d)\n", oldM.Design, oldM.Workload, oldM.Cores, oldM.Params.Seed)
+	fmt.Fprintf(stdout, "new: %s / %s / %d cores (seed %d)\n", newM.Design, newM.Workload, newM.Cores, newM.Params.Seed)
 
-	fmt.Println("\n--- results ---")
-	row := newRowPrinter(*all)
+	fmt.Fprintln(stdout, "\n--- results ---")
+	row := &rowPrinter{w: stdout, all: *all}
 	row.u64("runtime_ps", oldM.Results.RuntimePs, newM.Results.RuntimePs)
 	row.u64("total_runtime_ps", oldM.Results.TotalRuntimePs, newM.Results.TotalRuntimePs)
 	row.u64("transactions", uint64(oldM.Results.Transactions), uint64(newM.Results.Transactions))
@@ -63,30 +76,18 @@ func main() {
 	row.u64("wear_total_writes", oldM.Results.WearTotalWrites, newM.Results.WearTotalWrites)
 	row.u64("wear_hottest_line", oldM.Results.WearHottestLine, newM.Results.WearHottestLine)
 
-	fmt.Println("\n--- counters ---")
+	fmt.Fprintln(stdout, "\n--- counters ---")
 	for _, k := range unionKeys(oldM.Counters, newM.Counters) {
 		row.u64(k, oldM.Counters[k], newM.Counters[k])
 	}
 
-	fmt.Println("\n--- times (ps) ---")
+	fmt.Fprintln(stdout, "\n--- times (ps) ---")
 	for _, k := range unionKeys(oldM.TimesPs, newM.TimesPs) {
 		row.u64(k, oldM.TimesPs[k], newM.TimesPs[k])
 	}
 
-	fmt.Println("\n--- latencies (ps) ---")
-	names := make(map[string]struct{})
-	for k := range oldM.Latencies {
-		names[k] = struct{}{}
-	}
-	for k := range newM.Latencies {
-		names[k] = struct{}{}
-	}
-	sorted := make([]string, 0, len(names))
-	for k := range names {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
+	fmt.Fprintln(stdout, "\n--- latencies (ps) ---")
+	for _, k := range unionKeys(oldM.Latencies, newM.Latencies) {
 		o, n := oldM.Latencies[k], newM.Latencies[k]
 		row.u64(k+".count", o.Count, n.Count)
 		row.u64(k+".mean", o.MeanPs, n.MeanPs)
@@ -97,8 +98,9 @@ func main() {
 	}
 
 	if row.printed == 0 {
-		fmt.Println("\nno differences")
+		fmt.Fprintln(stdout, "\nno differences")
 	}
+	return 0
 }
 
 func load(path string) (*core.Manifest, error) {
@@ -114,7 +116,8 @@ func load(path string) (*core.Manifest, error) {
 	return m, nil
 }
 
-func unionKeys(a, b map[string]uint64) []string {
+// unionKeys returns the names either map holds, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
 	seen := make(map[string]struct{}, len(a)+len(b))
 	for k := range a {
 		seen[k] = struct{}{}
@@ -133,11 +136,10 @@ func unionKeys(a, b map[string]uint64) []string {
 // rowPrinter prints aligned old/new/delta/% rows, suppressing unchanged
 // rows unless all is set.
 type rowPrinter struct {
+	w       io.Writer
 	all     bool
 	printed int
 }
-
-func newRowPrinter(all bool) *rowPrinter { return &rowPrinter{all: all} }
 
 func (r *rowPrinter) u64(name string, o, n uint64) {
 	if o == n && !r.all {
@@ -145,7 +147,7 @@ func (r *rowPrinter) u64(name string, o, n uint64) {
 	}
 	r.printed++
 	delta := int64(n) - int64(o)
-	fmt.Printf("%-44s %14d -> %-14d %+12d  %s\n", name, o, n, delta, pct(float64(o), float64(n)))
+	fmt.Fprintf(r.w, "%-44s %14d -> %-14d %+12d  %s\n", name, o, n, delta, pct(float64(o), float64(n)))
 }
 
 func (r *rowPrinter) f64(name string, o, n float64) {
@@ -153,7 +155,7 @@ func (r *rowPrinter) f64(name string, o, n float64) {
 		return
 	}
 	r.printed++
-	fmt.Printf("%-44s %14.1f -> %-14.1f %+12.1f  %s\n", name, o, n, n-o, pct(o, n))
+	fmt.Fprintf(r.w, "%-44s %14.1f -> %-14.1f %+12.1f  %s\n", name, o, n, n-o, pct(o, n))
 }
 
 // pct renders the relative change from o to n.

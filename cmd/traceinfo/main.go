@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -41,73 +42,85 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "btree", "workload: "+strings.Join(workloads.ExtendedNames(), "|"))
-	items := flag.Int("items", 1024, "initial structure population")
-	ops := flag.Int("ops", 128, "measured operations")
-	opsPerTx := flag.Int("opspertx", 1, "operations per transaction")
-	mode := flag.String("mode", "undo", "transaction mechanism: undo|redo")
-	legacy := flag.Bool("legacy", false, "legacy (pre-paper) persistency primitives")
-	seed := flag.Int64("seed", 42, "workload RNG seed")
-	in := flag.String("in", "", "analyze this binary trace file instead of generating a workload trace")
-	doCheck := flag.Bool("check", false, "lint the trace against crash-consistency rules R1-R5")
-	version := flag.Bool("version", false, "print build/version information and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "btree", "workload: "+strings.Join(workloads.ExtendedNames(), "|"))
+	items := fs.Int("items", 1024, "initial structure population")
+	ops := fs.Int("ops", 128, "measured operations")
+	opsPerTx := fs.Int("opspertx", 1, "operations per transaction")
+	mode := fs.String("mode", "undo", "transaction mechanism: undo|redo")
+	legacy := fs.Bool("legacy", false, "legacy (pre-paper) persistency primitives")
+	seed := fs.Int64("seed", 42, "workload RNG seed")
+	in := fs.String("in", "", "analyze this binary trace file instead of generating a workload trace")
+	doCheck := fs.Bool("check", false, "lint the trace against crash-consistency rules R1-R5")
+	version := fs.Bool("version", false, "print build/version information and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr,
 			"usage: traceinfo [-workload name] [-items N] [-ops N] [-opspertx N]\n"+
 				"                 [-mode undo|redo] [-legacy] [-seed N] [-check]\n"+
 				"       traceinfo -in run.bin [-check]\n\n"+
 				"Exit status: 0 clean, 1 lint diagnostics found, 2 usage error or\n"+
 				"an internally inconsistent trace.\n\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
-		perf.PrintVersion(os.Stdout, "traceinfo")
-		return
+		perf.PrintVersion(stdout, "traceinfo")
+		return 0
 	}
 
 	if *in != "" {
 		// Recorded-trace mode: decoding checks every core's trace.
 		traces, err := trace.ReadTracesFile(*in)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace invalid: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "trace invalid: %v\n", err)
+			return 2
 		}
-		fmt.Printf("trace file      %s (%d cores, binary records)\n", *in, len(traces))
+		fmt.Fprintf(stdout, "trace file      %s (%d cores, binary records)\n", *in, len(traces))
 		bad := false
 		for i, tr := range traces {
-			fmt.Printf("\n=== core %d ===\n", i)
-			fmt.Printf("trace length    %d ops\n", tr.Len())
-			footprint(tr)
-			analyze(tr, 0)
-			if *doCheck && lint(tr, nil) {
+			fmt.Fprintf(stdout, "\n=== core %d ===\n", i)
+			fmt.Fprintf(stdout, "trace length    %d ops\n", tr.Len())
+			footprint(stdout, tr)
+			analyze(stdout, tr, 0)
+			if *doCheck && lint(stdout, tr, nil) {
 				bad = true
 			}
 		}
 		if bad {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	w, err := workloads.ByName(*workload)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	txMode := persist.Undo
 	if *mode == "redo" {
 		txMode = persist.Redo
 	} else if *mode != "undo" {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown mode %q\n", *mode)
+		return 2
 	}
 
 	p := workloads.Params{Seed: *seed, Items: *items, Ops: *ops, OpsPerTx: *opsPerTx}
 	if err := p.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	rt := persist.NewRuntime(persist.ArenaFor(0, 64<<20))
 	rt.SetLegacy(*legacy)
@@ -119,40 +132,38 @@ func main() {
 
 	// An invalid trace is a generator bug, not a lint finding: exit 2.
 	if err := tr.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace invalid: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "trace invalid: %v\n", err)
+		return 2
 	}
 
-	fmt.Printf("workload        %s (mode=%v, legacy=%v)\n", w.Name(), txMode, *legacy)
-	fmt.Printf("trace length    %d ops (%d setup + %d measured)\n", tr.Len(), setupLen, tr.Len()-setupLen)
-	footprint(tr)
-	fmt.Printf("heap used       %.1f KB\n", float64(rt.HeapUsed())/1024)
-	analyze(tr, setupLen)
+	fmt.Fprintf(stdout, "workload        %s (mode=%v, legacy=%v)\n", w.Name(), txMode, *legacy)
+	fmt.Fprintf(stdout, "trace length    %d ops (%d setup + %d measured)\n", tr.Len(), setupLen, tr.Len()-setupLen)
+	footprint(stdout, tr)
+	fmt.Fprintf(stdout, "heap used       %.1f KB\n", float64(rt.HeapUsed())/1024)
+	analyze(stdout, tr, setupLen)
 
-	if *doCheck {
-		arena := rt.Arena()
-		if lint(tr, []persist.Arena{arena}) {
-			os.Exit(1)
-		}
+	if *doCheck && lint(stdout, tr, []persist.Arena{rt.Arena()}) {
+		return 1
 	}
+	return 0
 }
 
 // footprint prints a trace's transaction count and data footprint.
-func footprint(tr *trace.Trace) {
-	fmt.Printf("transactions    %d\n", tr.Transactions())
+func footprint(w io.Writer, tr *trace.Trace) {
+	fmt.Fprintf(w, "transactions    %d\n", tr.Transactions())
 	lines := tr.FootprintLines()
-	fmt.Printf("data footprint  %d lines (%.1f KB)\n", lines, float64(lines)*mem.LineBytes/1024)
+	fmt.Fprintf(w, "data footprint  %d lines (%.1f KB)\n", lines, float64(lines)*mem.LineBytes/1024)
 }
 
 // analyze prints the op histogram and persist-primitive shape of one
 // core's trace; per-transaction averages count only the ops after
 // setupLen.
-func analyze(tr *trace.Trace, setupLen int) {
+func analyze(w io.Writer, tr *trace.Trace, setupLen int) {
 	counts := tr.Counts()
-	fmt.Println("\nop histogram:")
+	fmt.Fprintln(w, "\nop histogram:")
 	for _, k := range []trace.Kind{trace.Read, trace.Write, trace.Clwb, trace.CCWB,
 		trace.Sfence, trace.Compute, trace.TxBegin, trace.TxEnd} {
-		fmt.Printf("  %-8v %8d\n", k, counts[k])
+		fmt.Fprintf(w, "  %-8v %8d\n", k, counts[k])
 	}
 
 	// Counter-atomic store density and per-transaction averages over the
@@ -173,30 +184,30 @@ func analyze(tr *trace.Trace, setupLen int) {
 			}
 		}
 	}
-	fmt.Printf("\ncounter-atomic stores   %d (%.2f%% of writes, %d distinct lines)\n",
+	fmt.Fprintf(w, "\ncounter-atomic stores   %d (%.2f%% of writes, %d distinct lines)\n",
 		caStores, pct(caStores, counts[trace.Write]), len(caLines))
 	if tx := tr.Transactions(); tx > 0 {
-		fmt.Printf("per transaction         %.1f writes, %.1f clwb, %.1f ccwb, %.1f fences, %.1f reads\n",
+		fmt.Fprintf(w, "per transaction         %.1f writes, %.1f clwb, %.1f ccwb, %.1f fences, %.1f reads\n",
 			avg(measured[trace.Write], tx), avg(measured[trace.Clwb], tx),
 			avg(measured[trace.CCWB], tx), avg(measured[trace.Sfence], tx),
 			avg(measured[trace.Read], tx))
 	}
-	fmt.Printf("distinct lines written  %d\n", len(writeLines))
+	fmt.Fprintf(w, "distinct lines written  %d\n", len(writeLines))
 }
 
 // lint runs the R1-R5 linter over the trace and prints its findings;
 // reports whether any diagnostic fired.
-func lint(tr *trace.Trace, arenas []persist.Arena) bool {
+func lint(w io.Writer, tr *trace.Trace, arenas []persist.Arena) bool {
 	diags := check.Check(tr, check.Options{Arenas: arenas})
-	fmt.Println("\ncrash-consistency lint (rules R1-R5):")
+	fmt.Fprintln(w, "\ncrash-consistency lint (rules R1-R5):")
 	if len(diags) == 0 {
-		fmt.Println("  clean — no ordering-rule violations")
+		fmt.Fprintln(w, "  clean — no ordering-rule violations")
 		return false
 	}
 	for _, d := range diags {
-		fmt.Printf("  %s\n", d)
+		fmt.Fprintf(w, "  %s\n", d)
 	}
-	fmt.Printf("persistcheck: %d diagnostic(s)\n", len(diags))
+	fmt.Fprintf(w, "persistcheck: %d diagnostic(s)\n", len(diags))
 	return true
 }
 

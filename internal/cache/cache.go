@@ -190,19 +190,6 @@ func (c *Cache) DirtyLines() []mem.Addr {
 	return out
 }
 
-// ResidentLines returns all valid line addresses.
-func (c *Cache) ResidentLines() []mem.Addr {
-	var out []mem.Addr
-	for si, set := range c.sets {
-		for _, w := range set {
-			if w.valid {
-				out = append(out, c.lineAddr(si, w.tag))
-			}
-		}
-	}
-	return out
-}
-
 // CleanAll clears every dirty bit and returns the lines that were dirty —
 // a full-cache writeback.
 func (c *Cache) CleanAll() []mem.Addr {

@@ -141,8 +141,10 @@ func TestDirtyLinesAndCleanAll(t *testing.T) {
 	if len(c.DirtyLines()) != 0 {
 		t.Fatal("dirty lines remain after CleanAll")
 	}
-	if len(c.ResidentLines()) != 3 {
-		t.Fatal("CleanAll evicted lines")
+	for _, a := range []mem.Addr{addrFor(0, 0), addrFor(1, 0), addrFor(2, 0)} {
+		if !c.Contains(a) {
+			t.Fatalf("CleanAll evicted %#x", a)
+		}
 	}
 }
 
@@ -150,7 +152,7 @@ func TestReset(t *testing.T) {
 	c := tiny()
 	c.Access(0x0, true)
 	c.Reset()
-	if c.Contains(0x0) || len(c.ResidentLines()) != 0 {
+	if c.Contains(0x0) {
 		t.Fatal("Reset left contents")
 	}
 }
@@ -188,7 +190,13 @@ func TestPropertyCapacityAndVictims(t *testing.T) {
 			if !c.Contains(addr) {
 				return false
 			}
-			if len(c.ResidentLines()) > capacityLines {
+			resident := 0
+			for line := 0; line < 256; line++ {
+				if c.Contains(mem.Addr(line) * 64) {
+					resident++
+				}
+			}
+			if resident > capacityLines {
 				return false
 			}
 		}

@@ -4,8 +4,8 @@
 // the race detector). rawspacewrite flags stores that bypass the trace,
 // which no runtime check can see; persistorder flags writebacks that a
 // control-flow path leaves unordered, in branches no generated trace
-// exercises; maprange flags map order leaking into output, including
-// CLI output no golden reads.
+// exercises. Map order leaking into output is left to the goldens, which
+// every command's test reads 16 times per invocation (internal/clitest).
 //
 // The Analyzer/Pass/Diagnostic trio deliberately mirrors the core of
 // golang.org/x/tools/go/analysis, so each check's Run function ports to a
@@ -54,10 +54,10 @@ type Finding struct {
 	Message  string
 }
 
-// All returns the shipped analyzers: the raw-image write check, the
-// CFG-based persist-ordering check, and the map-order check.
+// All returns the shipped analyzers: the raw-image write check and the
+// CFG-based persist-ordering check.
 func All() []*Analyzer {
-	return []*Analyzer{RawSpaceWrite, PersistOrder, MapRange}
+	return []*Analyzer{RawSpaceWrite, PersistOrder}
 }
 
 // ByName resolves a comma-separated analyzer list ("" or "all" selects

@@ -119,7 +119,9 @@ func Run(m *machine.Machine, workload string, traces []*trace.Trace, pb *probe.P
 
 // VerifyResult runs the workload's validator over the final (decrypted)
 // NVM image of a completed run — an end-to-end functional check that the
-// whole stack (encryption, queues, flush) preserved the data.
+// whole stack (encryption, queues, flush) preserved the data. Every core's
+// arena must hold the workload's published structure: Setup writes its
+// magic word, so an image without one ran some other workload.
 func VerifyResult(res Result) error {
 	defer perf.Begin("verify").End()
 	w, err := workloads.ByName(res.Workload)
@@ -133,7 +135,11 @@ func VerifyResult(res Result) error {
 	snapshot := sys.Dev.Image().SnapshotAt(sys.Dev.Image().LastWrite())
 	space := crash.DecryptImage(sys.MC.Layout(), sys.MC.Encryption(), snapshot)
 	for i := 0; i < res.Cores; i++ {
-		if err := w.Validate(space, persist.ArenaFor(i, crash.DefaultArena)); err != nil {
+		arena := persist.ArenaFor(i, crash.DefaultArena)
+		if !w.Published(space, arena) {
+			return fmt.Errorf("core %d: no published %s structure in the final image", i, w.Name())
+		}
+		if err := w.Validate(space, arena); err != nil {
 			return fmt.Errorf("core %d: %w", i, err)
 		}
 	}

@@ -160,6 +160,23 @@ func TestVerifyResultDetectsCorruption(t *testing.T) {
 	}
 }
 
+// A result labelled with another workload than the one that ran has no
+// published structure of that workload in its image: verification must
+// fail rather than validate an empty structure.
+func TestVerifyResultRejectsWrongWorkload(t *testing.T) {
+	res, err := RunWorkload(Options{Spec: designSpec(t, config.SCA), Workload: "queue", Params: tiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []string{"btree", "hashtable"} {
+		res.Workload = other
+		err := VerifyResult(res)
+		if want := "core 0: no published " + other + " structure in the final image"; err == nil || err.Error() != want {
+			t.Errorf("queue run labelled %s: VerifyResult = %v, want %q", other, err, want)
+		}
+	}
+}
+
 func TestVerifyResultWithoutSystem(t *testing.T) {
 	if err := VerifyResult(Result{Workload: "queue"}); err == nil {
 		t.Fatal("VerifyResult accepted a result with no system")

@@ -116,9 +116,6 @@ type Counters struct {
 	byLine mem.Table[uint64]
 }
 
-// NewCounters returns an empty counter state.
-func NewCounters() *Counters { return &Counters{} }
-
 // Next increments the line's counter and returns the fresh value used to
 // encrypt this write.
 func (c *Counters) Next(lineAddr mem.Addr) uint64 {

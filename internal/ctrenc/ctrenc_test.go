@@ -129,7 +129,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 }
 
 func TestCountersPerLineMonotonic(t *testing.T) {
-	c := NewCounters()
+	c := &Counters{}
 	if c.Current(0) != 0 {
 		t.Fatal("unwritten line has nonzero counter")
 	}
@@ -148,7 +148,7 @@ func TestCountersPerLineMonotonic(t *testing.T) {
 }
 
 func TestCountersIgnoreOffset(t *testing.T) {
-	c := NewCounters()
+	c := &Counters{}
 	c.Next(0x100)
 	if c.Current(0x13F) != c.Current(0x100) {
 		t.Fatal("offsets within a line see different counters")
@@ -188,7 +188,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { l = e.Decrypt(l, 0x40, 7) }); got > 0 {
 		t.Errorf("Decrypt allocates %v times, pin 0", got)
 	}
-	c := NewCounters()
+	c := &Counters{}
 	c.Next(0x40)
 	if got := testing.AllocsPerRun(100, func() { c.Next(0x40) }); got > 0 {
 		t.Errorf("Counters.Next allocates %v times, pin 0", got)

@@ -1,60 +1,28 @@
 // The spec registry: the named machine table behind the config.Design
-// enum. The seven paper designs are registered at init under the CLI
-// names the repo has always used (noenc, ideal, colocated, colocatedcc,
-// fca, sca, osiris); new machines — custom sizing, the DRAM backend, or
-// entirely new engines — are Registered as data, and every front end
-// (nvmsim, crashtest, core.Options) looks machines up here.
+// enum. Every registry engine is a machine under its own name — the
+// paper's designs keep the CLI names the repo has always used (noenc,
+// ideal, colocated, colocatedcc, fca, sca, osiris) — and every front end
+// (nvmsim, crashtest, core.Options) looks machines up here. Custom
+// machines (sizing, the DRAM backend) are spec files, not registry rows.
 
 package machine
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 
 	"encnvm/internal/config"
 	"encnvm/internal/machine/engines"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Spec{}
-)
-
-// Register adds a named spec to the registry. The spec is validated and
-// stored by value; the name must be new.
-func Register(name string, s *Spec) error {
-	if name == "" {
-		return fmt.Errorf("machine: Register with empty name")
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	cp := *s
-	if cp.Name == "" {
-		cp.Name = name
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("machine: spec %q already registered", name)
-	}
-	registry[name] = &cp
-	return nil
-}
-
-// ByName returns a copy of the registered spec with the given name.
+// ByName returns a fresh spec for the registry engine with the given
+// name.
 func ByName(name string) (*Spec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("machine: unknown machine %q (valid: %v)", name, namesLocked())
+	if _, err := engines.ByName(name); err != nil {
+		return nil, fmt.Errorf("machine: unknown machine %q (valid: %v)", name, Names())
 	}
-	cp := *s
-	return &cp, nil
+	return &Spec{Name: name, Engine: name}, nil
 }
 
 // LoadSpec resolves the machine a front end's flags select: the spec
@@ -78,20 +46,7 @@ func LoadSpec(path, design string, cores int) (*Spec, error) {
 }
 
 // Names lists the registered machine names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return engines.Names() }
 
 // SpecForDesign returns the built-in spec implementing the given design
 // enum value — the enum is presentation sugar over this table.
@@ -101,12 +56,4 @@ func SpecForDesign(d config.Design) (*Spec, error) {
 		return nil, err
 	}
 	return ByName(meta.Name)
-}
-
-func init() {
-	for _, n := range engines.Names() {
-		if err := Register(n, &Spec{Name: n, Engine: n}); err != nil {
-			panic(err)
-		}
-	}
 }

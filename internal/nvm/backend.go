@@ -2,7 +2,6 @@ package nvm
 
 import (
 	"fmt"
-	"sort"
 
 	"encnvm/internal/config"
 	"encnvm/internal/sim"
@@ -68,26 +67,24 @@ var (
 	DRAM Backend = dram{}
 )
 
-var backends = map[string]Backend{
-	PCM.Name():  PCM,
-	DRAM.Name(): DRAM,
-}
+// backends lists the built-in backends in name order.
+var backends = []Backend{DRAM, PCM}
 
 // BackendByName returns the built-in backend with the given name.
 func BackendByName(name string) (Backend, error) {
-	b, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("nvm: unknown backend %q (valid: %v)", name, BackendNames())
+	for _, b := range backends {
+		if b.Name() == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("nvm: unknown backend %q (valid: %v)", name, BackendNames())
 }
 
 // BackendNames lists the built-in backend names, sorted.
 func BackendNames() []string {
-	out := make([]string, 0, len(backends))
-	for n := range backends {
-		out = append(out, n)
+	out := make([]string, len(backends))
+	for i, b := range backends {
+		out[i] = b.Name()
 	}
-	sort.Strings(out)
 	return out
 }

@@ -126,9 +126,6 @@ var active atomic.Pointer[Profiler]
 // SetActive installs p as the process-wide profiler (nil uninstalls).
 func SetActive(p *Profiler) { active.Store(p) }
 
-// Active returns the installed profiler, or nil.
-func Active() *Profiler { return active.Load() }
-
 // Begin opens a region on the active profiler: one atomic load plus a
 // nil check when profiling is off. The simulation phases (trace-build,
 // replay, recover, verify) call this so any front end with -perf-out

@@ -150,7 +150,7 @@ func TestSessionWritesSidecarAndProfiles(t *testing.T) {
 	if err := s.End(); err != nil {
 		t.Fatal(err)
 	}
-	if Active() != nil {
+	if active.Load() != nil {
 		t.Error("active profiler not cleared by End")
 	}
 	for _, p := range []string{o.CPUProfile, o.MemProfile} {

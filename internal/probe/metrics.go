@@ -64,9 +64,6 @@ func NewMetricsWriter(w io.Writer, window sim.Time) *MetricsWriter {
 	return &MetricsWriter{w: bufio.NewWriterSize(w, 32<<10), window: window, next: window}
 }
 
-// Window returns the configured slice length.
-func (m *MetricsWriter) Window() sim.Time { return m.window }
-
 // Gauge registers an instantaneous column: the row carries f's value at the
 // window boundary.
 func (m *MetricsWriter) Gauge(name string, f func() float64) {

@@ -354,8 +354,5 @@ func (r *Resource) Reserve(earliest Time, dur Time) (start, end Time) {
 	return start, end
 }
 
-// FreeAt returns the time at which the resource next becomes free.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // BusyTime returns the total time the resource has been occupied.
 func (r *Resource) BusyTime() Time { return r.busy }

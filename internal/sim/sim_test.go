@@ -205,8 +205,9 @@ func TestResourceReserve(t *testing.T) {
 	if r.BusyTime() != 90 {
 		t.Fatalf("busy = %d, want 90", r.BusyTime())
 	}
-	if r.FreeAt() != 1010 {
-		t.Fatalf("freeAt = %d, want 1010", r.FreeAt())
+	// The resource is next free at 1010: an early request starts there.
+	if s, _ = r.Reserve(0, 1); s != 1010 {
+		t.Fatalf("free at %d, want 1010", s)
 	}
 }
 
