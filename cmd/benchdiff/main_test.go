@@ -222,6 +222,7 @@ func TestDiffExplicitZeroBaselineGated(t *testing.T) {
 // regression marks and missing/added notes in one order, run after run.
 func TestDiffGolden(t *testing.T) {
 	clitest.Golden(t, run, "verbose.golden", "-v", filepath.Join("testdata", "old.json"), filepath.Join("testdata", "new.json"))
+	clitest.Golden(t, run, "help.golden", "-h")
 }
 
 func TestDiffUsageAndParseErrors(t *testing.T) {

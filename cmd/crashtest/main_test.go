@@ -15,4 +15,5 @@ func TestGolden(t *testing.T) {
 	}
 	clitest.Golden(t, run, "dram.golden", "-spec", "../../specs/sca-dram.json", "-workload", "queue", "-points", "16", "-j", "4")
 	clitest.Golden(t, run, "unknown-design.golden", "-design", "nosuch")
+	clitest.Golden(t, run, "help.golden", "-h")
 }

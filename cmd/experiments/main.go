@@ -66,6 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	version := fs.Bool("version", false, "print build/version information and exit")
 	perfOpts := perf.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 2
 	}
 	if *version {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"encnvm/internal/clitest"
 	"encnvm/internal/exp"
 	"encnvm/internal/perf"
 	"encnvm/internal/probe"
@@ -37,6 +38,10 @@ func TestStdoutCarriesOnlyFigureRows(t *testing.T) {
 	if !strings.Contains(stderr.String(), "[fig12 done in ") {
 		t.Errorf("timing line missing from stderr:\n%s", stderr.String())
 	}
+}
+
+func TestGolden(t *testing.T) {
+	clitest.Golden(t, run, "help.golden", "-h")
 }
 
 // The full figure set must match testdata/golden_quick.txt byte for

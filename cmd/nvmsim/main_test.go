@@ -17,6 +17,7 @@ func TestGolden(t *testing.T) {
 	clitest.Golden(t, run, "dram.golden", "-spec", "../../specs/sca-dram.json", "-workload", "btree", "-items", "128", "-ops", "64")
 	clitest.Golden(t, run, "unknown-design.golden", "-design", "nosuch")
 	clitest.Golden(t, run, "unknown-backend.golden", "-spec", filepath.Join("testdata", "bad-backend.json"))
+	clitest.Golden(t, run, "help.golden", "-h")
 }
 
 // mustRun runs nvmsim, failing the test on a nonzero exit.

@@ -12,6 +12,7 @@ func TestGolden(t *testing.T) {
 	clitest.Golden(t, run, "verify.golden", "-verify")
 	clitest.Golden(t, run, "verify-dram.golden", "-verify", "-spec", "../../specs/sca-dram.json", "-items", "32", "-ops", "12")
 	clitest.Golden(t, run, "badworkload.golden", "../../internal/check/analyzers/testdata/src/badworkload")
+	clitest.Golden(t, run, "help.golden", "-h")
 }
 
 // An analyzer name outside the catalog is a usage error.

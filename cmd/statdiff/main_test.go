@@ -43,6 +43,7 @@ func TestGolden(t *testing.T) {
 	sca, fca := writeManifest(t, dir, "sca"), writeManifest(t, dir, "fca")
 	clitest.Golden(t, run, "all.golden", "-all", sca, fca)
 	clitest.Golden(t, run, "changed.golden", sca, fca)
+	clitest.Golden(t, run, "help.golden", "-h")
 }
 
 // A manifest diffed against itself reports no differences.

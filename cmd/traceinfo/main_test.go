@@ -15,6 +15,7 @@ func TestGolden(t *testing.T) {
 	clitest.Golden(t, run, "hashtable.golden", "-workload", "hashtable", "-items", "16", "-ops", "4")
 	clitest.Golden(t, run, "hashtable-check.golden", "-workload", "hashtable", "-items", "16", "-ops", "4", "-check")
 	clitest.Golden(t, run, "legacy-check.golden", "-workload", "queue", "-items", "16", "-ops", "4", "-legacy", "-check")
+	clitest.Golden(t, run, "help.golden", "-h")
 }
 
 // Every workload's trace lints clean in both transaction modes.

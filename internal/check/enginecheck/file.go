@@ -104,7 +104,8 @@ func NewFile(e string, f Finding, model *verify.Model) *File {
 	}
 	out.Schedule = f.Violation.Schedule
 	if p, ok := programByName(f.Program); ok {
-		for _, op := range p.Trace.Ops() {
+		for i := 0; i < p.Trace.Len(); i++ {
+			op := p.Trace.At(i)
 			out.Ops = append(out.Ops, OpRecord{
 				Kind: op.Kind.String(), Addr: uint64(op.Addr),
 				CA: op.CounterAtomic, Cycles: op.Cycles,

@@ -254,16 +254,6 @@ type Space struct {
 // NewSpace returns an empty space.
 func NewSpace() *Space { return &Space{} }
 
-// NewSpaceFrom builds a space over a snapshot of line contents, taking
-// ownership of copies of the lines.
-func NewSpaceFrom(snapshot map[Addr]Line) *Space {
-	s := NewSpace()
-	for a, l := range snapshot {
-		*s.lines.Ptr(a) = l
-	}
-	return s
-}
-
 // ReadBytes copies n bytes starting at a into a fresh slice. Reads may span
 // lines; unwritten memory reads as zero.
 func (s *Space) ReadBytes(a Addr, n int) []byte {

@@ -218,15 +218,6 @@ func TestSpaceCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestNewSpaceFrom(t *testing.T) {
-	var l Line
-	l[3] = 7
-	s := NewSpaceFrom(map[Addr]Line{128: l})
-	if got := s.ReadBytes(131, 1); got[0] != 7 {
-		t.Fatalf("ReadBytes = %v", got)
-	}
-}
-
 // Property: WriteBytes then ReadBytes round-trips for arbitrary addresses
 // and contents.
 func TestPropertySpaceRoundTrip(t *testing.T) {

@@ -86,16 +86,6 @@ func TestProgressCellWireShape(t *testing.T) {
 	}
 }
 
-func TestRunnerProgressCompatSinkHasNoSummary(t *testing.T) {
-	var buf bytes.Buffer
-	sink := RunnerProgress(&buf)
-	sink(runner.Progress{Label: "x", Total: 1, Wall: time.Millisecond})
-	recs := decodeProgress(t, buf.Bytes())
-	if len(recs) != 1 || recs[0].Summary {
-		t.Fatalf("compat sink stream = %+v", recs)
-	}
-}
-
 func TestProgressEmptyFleetSummary(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewProgress(&buf)

@@ -395,7 +395,12 @@ func (c *core) step() {
 	}
 	cfg := c.sys.Cfg
 	var acc sim.Time
-	var op trace.Op
+	var (
+		kind   trace.Kind
+		addr   mem.Addr
+		cycles uint32
+		ca     bool
+	)
 	for acc < maxBatch {
 		if c.pc >= c.n {
 			if acc > 0 {
@@ -409,16 +414,16 @@ func (c *core) step() {
 			}
 			return
 		}
-		op = c.tr.At(c.pc)
-		switch op.Kind {
+		kind, addr, cycles, ca = c.tr.Head(c.pc)
+		switch kind {
 		case trace.Compute:
-			acc += sim.Time(op.Cycles) * cfg.CPUCycle
+			acc += sim.Time(cycles) * cfg.CPUCycle
 			c.pc++
 			c.mark(c.sys.Eng.Now() + acc)
 			continue
 		case trace.Read:
-			if c.l1.Contains(op.Addr) {
-				c.l1.Access(op.Addr, false)
+			if c.l1.Contains(addr) {
+				c.l1.Access(addr, false)
 				c.sys.St.Inc(stats.L1Hits, 1)
 				acc += cfg.L1.HitTime
 				c.pc++
@@ -426,10 +431,10 @@ func (c *core) step() {
 				continue
 			}
 		case trace.Write:
-			if c.l1.Contains(op.Addr) {
-				c.sys.plain.WriteLine(op.Addr.LineAddr(), op.Line)
-				*c.sys.caLine.Ptr(op.Addr) = op.CounterAtomic
-				c.l1.Access(op.Addr, true)
+			if c.l1.Contains(addr) {
+				c.sys.plain.WriteLine(addr.LineAddr(), c.tr.Line(c.pc))
+				*c.sys.caLine.Ptr(addr) = ca
+				c.l1.Access(addr, true)
 				c.sys.St.Inc(stats.L1Hits, 1)
 				acc += cfg.L1.HitTime
 				c.pc++
@@ -475,24 +480,25 @@ func (c *core) step() {
 		return
 	}
 
-	// op still holds the op read at the top of the batch loop: the
-	// complex path is only reached via break with acc == 0, i.e. on the
-	// iteration that read c.pc.
+	// kind, addr and ca still hold the op read at the top of the batch
+	// loop: the complex path is only reached via break with acc == 0,
+	// i.e. on the iteration that read c.pc.
+	i := c.pc
 	c.pc++
 	// A controller-touching op retires at its dispatch instant: its
 	// synchronous controller interactions happen now, and the next op
 	// cannot run before the engine advances past this event.
 	c.mark(c.sys.Eng.Now())
 
-	switch op.Kind {
+	switch kind {
 	case trace.Read: // L1 miss (hits batched above)
-		c.read(op.Addr)
+		c.read(addr)
 
 	case trace.Write: // L1 miss
-		c.write(op)
+		c.write(i, addr, ca)
 
 	case trace.Clwb:
-		c.clwb(op.Addr)
+		c.clwb(addr)
 
 	case trace.Sfence:
 		c.sys.St.Inc(stats.PersistBarriers, 1)
@@ -506,11 +512,11 @@ func (c *core) step() {
 
 	case trace.CCWB:
 		c.outstanding++
-		c.sys.MC.CounterWriteback(op.Addr, c.sys.writebackH, uint64(c.id))
+		c.sys.MC.CounterWriteback(addr, c.sys.writebackH, uint64(c.id))
 		c.next(cfg.CounterCache.HitTime)
 
 	default:
-		panic(fmt.Sprintf("replay: unknown op kind %v", op.Kind))
+		panic(fmt.Sprintf("replay: unknown op kind %v", kind))
 	}
 }
 
@@ -543,12 +549,13 @@ func (c *core) read(addr mem.Addr) {
 	c.sys.MC.Read(addr, c.sys.readDoneH, uint64(c.id))
 }
 
-// write services a store: update the plaintext image and the hierarchy.
-func (c *core) write(op trace.Op) {
+// write services store i to addr: update the plaintext image and the
+// hierarchy.
+func (c *core) write(i int, addr mem.Addr, counterAtomic bool) {
 	sys := c.sys
-	addr := op.Addr.LineAddr()
-	sys.plain.WriteLine(addr, op.Line)
-	*sys.caLine.Ptr(addr) = op.CounterAtomic
+	addr = addr.LineAddr()
+	sys.plain.WriteLine(addr, c.tr.Line(i))
+	*sys.caLine.Ptr(addr) = counterAtomic
 
 	res := c.l1.Access(addr, true)
 	c.handleL1Victim(res)

@@ -199,22 +199,6 @@ func (s *Stats) TotalBytesWritten() uint64 {
 	return s.counters[DataBytesWritten] + s.counters[CounterBytesWritten]
 }
 
-// Merge adds every measurement of other into s. Latency distributions merge
-// by sample aggregation.
-func (s *Stats) Merge(other *Stats) {
-	for c, v := range other.counters {
-		s.counters[c] += v
-	}
-	for b, v := range other.times {
-		s.times[b] += v
-	}
-	for d := range other.lat {
-		s.lat[d].merge(&other.lat[d])
-	}
-	s.counterSeen |= other.counterSeen
-	s.timeSeen |= other.timeSeen
-}
-
 // Counters returns a copy of all bumped event counters by name.
 func (s *Stats) Counters() map[string]uint64 {
 	out := make(map[string]uint64)
@@ -311,23 +295,6 @@ func (l *Latency) add(d sim.Time) {
 	l.n++
 	l.sum += d
 	l.hist[bits.Len64(uint64(d))]++
-}
-
-func (l *Latency) merge(o *Latency) {
-	if o.n == 0 {
-		return
-	}
-	if l.n == 0 || o.min < l.min {
-		l.min = o.min
-	}
-	if o.max > l.max {
-		l.max = o.max
-	}
-	l.n += o.n
-	l.sum += o.sum
-	for i, c := range o.hist {
-		l.hist[i] += c
-	}
 }
 
 // Count returns the number of samples.

@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"encnvm/internal/sim"
 )
@@ -68,48 +67,6 @@ func TestTotalBytesWritten(t *testing.T) {
 	s.Inc(CounterBytesWritten, 64)
 	if got := s.TotalBytesWritten(); got != 704 {
 		t.Fatalf("total = %d", got)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Inc(Reads, 5)
-	b.Inc(Reads, 7)
-	b.Inc(DataWrites, 2)
-	b.Inc(ReadyBitWaits, 0)
-	a.AddTime(FenceWait, 10)
-	b.AddTime(FenceWait, 20)
-	a.Observe(AcceptDelay, 100)
-	b.Observe(AcceptDelay, 300)
-	b.Observe(FenceWaitEach, 50)
-	a.Merge(b)
-	if a.Count(Reads) != 12 || a.Count(DataWrites) != 2 {
-		t.Fatalf("merged counters wrong: %d %d", a.Count(Reads), a.Count(DataWrites))
-	}
-	if a.Time(FenceWait) != 30 {
-		t.Fatalf("merged time = %d", a.Time(FenceWait))
-	}
-	l := a.Latency(AcceptDelay)
-	if l.Count() != 2 || l.Min() != 100 || l.Max() != 300 {
-		t.Fatalf("merged latency wrong")
-	}
-	if a.Latency(FenceWaitEach).Count() != 1 {
-		t.Fatal("merge did not copy new distribution")
-	}
-	// Merge lists what either side listed, across every slot, and
-	// nothing else.
-	want := map[string]uint64{Reads.String(): 12, DataWrites.String(): 2, ReadyBitWaits.String(): 0}
-	got := a.Counters()
-	if len(got) != len(want) {
-		t.Fatalf("merged Counters() = %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if gv, ok := got[k]; !ok || gv != v {
-			t.Fatalf("merged Counters() = %v, want %v", got, want)
-		}
-	}
-	if len(a.Latencies()) != 2 || len(a.Times()) != 1 {
-		t.Fatalf("merged %d latencies and %d times, want 2 and 1", len(a.Latencies()), len(a.Times()))
 	}
 }
 
@@ -179,42 +136,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: merging two stats preserves counter totals, and latency
-// min/max/count behave like the combined sample set.
-func TestPropertyMergeEquivalence(t *testing.T) {
-	f := func(xs, ys []uint8) bool {
-		whole, a, b := New(), New(), New()
-		for _, x := range xs {
-			a.Inc(Clwbs, uint64(x))
-			a.Observe(FenceWaitEach, sim.Time(x))
-			whole.Inc(Clwbs, uint64(x))
-			whole.Observe(FenceWaitEach, sim.Time(x))
-		}
-		for _, y := range ys {
-			b.Inc(Clwbs, uint64(y))
-			b.Observe(FenceWaitEach, sim.Time(y))
-			whole.Inc(Clwbs, uint64(y))
-			whole.Observe(FenceWaitEach, sim.Time(y))
-		}
-		a.Merge(b)
-		if a.Count(Clwbs) != whole.Count(Clwbs) {
-			return false
-		}
-		la, lw := a.Latency(FenceWaitEach), whole.Latency(FenceWaitEach)
-		if (la == nil) != (lw == nil) {
-			return false
-		}
-		if la == nil {
-			return true
-		}
-		return la.Count() == lw.Count() && la.Min() == lw.Min() &&
-			la.Max() == lw.Max() && la.Sum() == lw.Sum()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Regression: the zero-value Latency must initialize its minimum from the
 // first sample. A min field starting at 0 would make any nonzero sample
 // set report a bogus 0 minimum.
@@ -231,15 +152,6 @@ func TestLatencyMinLazyInit(t *testing.T) {
 	s.Observe(NVMReadLatency, 3)
 	if got := s.Latency(NVMReadLatency).Min(); got != 3 {
 		t.Fatalf("observed Min() = %v, want 3", got)
-	}
-}
-
-func TestLatencyMergeIntoEmptyKeepsMin(t *testing.T) {
-	var dst, src Latency
-	src.add(9)
-	dst.merge(&src)
-	if dst.Min() != 9 || dst.Max() != 9 || dst.Count() != 1 {
-		t.Fatalf("merged = min%d max%d n%d", dst.Min(), dst.Max(), dst.Count())
 	}
 }
 
@@ -322,32 +234,6 @@ func TestStringIncludesQuantiles(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("String() missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// Property: merged quantiles equal the quantiles of the combined sample
-// set — the histograms must add bucket-wise.
-func TestPropertyMergeQuantiles(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		whole, a, b := &Latency{}, &Latency{}, &Latency{}
-		for _, x := range xs {
-			a.add(sim.Time(x))
-			whole.add(sim.Time(x))
-		}
-		for _, y := range ys {
-			b.add(sim.Time(y))
-			whole.add(sim.Time(y))
-		}
-		a.merge(b)
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			if a.Quantile(q) != whole.Quantile(q) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -97,16 +97,17 @@ func DecodeOp(b []byte, dst *Op) error {
 }
 
 // decodeCore strict-decodes one core's record region into a checked
-// trace. Each record is checked as soon as it is decoded, so the error
-// reported is the first one in stream order.
+// trace, appending each record straight into the store. Each record is
+// checked as soon as it is decoded, so the error reported is the first
+// one in stream order.
 func decodeCore(rec []byte) (*Trace, error) {
-	ops := make([]Op, len(rec)/RecordBytes)
 	t := &Trace{}
-	for i := range ops {
-		if err := DecodeOp(rec[i*RecordBytes:], &ops[i]); err != nil {
+	var op Op
+	for i := 0; i < len(rec)/RecordBytes; i++ {
+		if err := DecodeOp(rec[i*RecordBytes:], &op); err != nil {
 			return nil, fmt.Errorf("trace: op %d: %w", i, err)
 		}
-		t.ops = ops[:i+1]
+		t.Append(op)
 		if err := t.scan(); err != nil {
 			return nil, err
 		}
@@ -142,8 +143,9 @@ func WriteTraces(w io.Writer, traces []*Trace) error {
 	}
 	var rec [RecordBytes]byte
 	for _, tr := range traces {
-		for i := range tr.ops {
-			EncodeOp(rec[:], &tr.ops[i])
+		for i := 0; i < tr.Len(); i++ {
+			op := tr.At(i)
+			EncodeOp(rec[:], &op)
 			if _, err := bw.Write(rec[:]); err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -157,7 +158,9 @@ func refCheck(ops []Op) (int, error) {
 
 // randomOp draws an op that is usually valid: transaction markers are
 // common, so nesting and closing errors occur, and about one op in
-// fifty carries a payload its kind must not.
+// fifty is malformed. The malformed ones include every op a packed
+// header cannot hold: kinds outside a byte, a write with cycles, and a
+// compute or marker carrying a line.
 func randomOp(rng *rand.Rand) Op {
 	op := Op{Kind: Kind(rng.Intn(8))}
 	switch op.Kind {
@@ -171,33 +174,63 @@ func randomOp(rng *rand.Rand) Op {
 		op.Cycles = uint32(1 + rng.Intn(100))
 	}
 	if rng.Intn(50) == 0 {
-		switch rng.Intn(3) {
+		switch rng.Intn(7) {
 		case 0:
 			op.Kind = Kind(8 + rng.Intn(4))
 		case 1:
 			op.Cycles = 0
 			op.Kind = Compute
-		default:
+		case 2:
 			op.Addr |= 1 // unaligned for clwb/ccwb, an operand for markers
+		case 3:
+			op.Kind = Kind(256 + rng.Intn(1<<20))
+		case 4:
+			op.Kind = Kind(-1 - rng.Intn(1<<20))
+		case 5:
+			op.Kind = Write
+			op.Line[63] = byte(1 + rng.Intn(255))
+			op.Cycles = uint32(1 + rng.Intn(100))
+		default:
+			op.Kind = []Kind{Compute, Sfence, TxBegin, TxEnd}[rng.Intn(4)]
+			op.Line[rng.Intn(mem.LineBytes)] = byte(1 + rng.Intn(255))
 		}
 	}
 	return op
 }
 
 // TestCheckMatchesFullScan holds the incremental check record to a full
-// scan: on random op streams, valid and malformed, Check gives the same
-// TxEnd count and error text after every batch of Appends, including
-// Appends after an earlier Check.
+// scan, and the packed store to the ops it was given: on random op
+// streams, valid and malformed, Check gives the same TxEnd count and
+// error text after every batch of Appends, including Appends after an
+// earlier Check; At and Ops return exactly the appended ops, and Head
+// and Line their fields. An occasional long batch carries a stream
+// across header and line chunks.
 func TestCheckMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for prog := 0; prog < 500; prog++ {
 		tr := &Trace{}
 		var ops []Op
 		for batch := rng.Intn(6); batch >= 0; batch-- {
-			for n := rng.Intn(12); n > 0; n-- {
+			n := rng.Intn(12)
+			if rng.Intn(20) == 0 {
+				n = rng.Intn(3 * headChunk)
+			}
+			for ; n > 0; n-- {
 				op := randomOp(rng)
 				tr.Append(op)
 				ops = append(ops, op)
+			}
+			if got := tr.Ops(); !slices.Equal(got, ops) {
+				t.Fatalf("program %d: Ops() differs from the %d appended ops", prog, len(ops))
+			}
+			for i, op := range ops {
+				if got := tr.At(i); got != op {
+					t.Fatalf("program %d: At(%d) = %+v, appended %+v", prog, i, got, op)
+				}
+				k, addr, cycles, ca := tr.Head(i)
+				if k != op.Kind || addr != op.Addr || cycles != op.Cycles || ca != op.CounterAtomic || tr.Line(i) != op.Line {
+					t.Fatalf("program %d: Head(%d) = %v, %#x, %d, %v or its Line differs from the appended %+v", prog, i, k, addr, cycles, ca, op)
+				}
 			}
 			if rng.Intn(3) == 0 {
 				continue // append more before checking
@@ -212,6 +245,26 @@ func TestCheckMatchesFullScan(t *testing.T) {
 				t.Fatalf("program %d: Validate = %v, want %v", prog, err, wantErr)
 			}
 		}
+	}
+}
+
+// TestSteadyStateAllocs pins Append at zero allocations while the
+// current header chunk and line chunk have room: a growing trace
+// allocates a chunk at a time and never copies an op.
+func TestSteadyStateAllocs(t *testing.T) {
+	tr := &Trace{}
+	w := Op{Kind: Write, Addr: 64, Line: mem.Line{1}, CounterAtomic: true}
+	tr.Append(w) // allocates the first header and line chunks
+	// Each run appends one line and two headers; with the warm-up call
+	// that fills the line chunk exactly.
+	if got := testing.AllocsPerRun(lineChunk-2, func() {
+		tr.Append(w)
+		tr.Append(Op{Kind: Compute, Cycles: 3})
+	}); got > 0 {
+		t.Errorf("Append allocates %v times, pin 0", got)
+	}
+	if tr.nline != lineChunk || len(tr.lines) != 1 || len(tr.heads) != 1 {
+		t.Fatalf("%d lines in %d line chunks, %d header chunks: the pin left its chunks", tr.nline, len(tr.lines), len(tr.heads))
 	}
 }
 
