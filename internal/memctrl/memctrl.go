@@ -20,6 +20,8 @@
 package memctrl
 
 import (
+	"slices"
+
 	"encnvm/internal/cache"
 	"encnvm/internal/config"
 	"encnvm/internal/ctrenc"
@@ -53,10 +55,10 @@ const counterLinger = 2 * sim.Microsecond
 // issued to the device, removed at device completion. All queued entries
 // are ready (ADR-drainable); unready requests wait in the accept FIFO
 // outside the queues. Entries live in the controller's entries slab and
-// are named by index, which is what their events carry.
+// are named by index, which is what their events carry. The fields the
+// queue scans read come first, in one cache line, ahead of the data.
 type entry struct {
 	addr     mem.Addr
-	data     mem.Line
 	tag      uint64   // encryption counter (ground truth for the harness)
 	deadline sim.Time // counter entries: must issue by this time
 	nbytes   int32
@@ -65,17 +67,17 @@ type entry struct {
 	ca       bool   // counter-atomic data write (never coalesced)
 	eligible bool   // encryption pipeline done; may issue
 	issued   bool   // device write dispatched
-	done     bool   // device write completed
 	isData   bool   // queued in dataQ (else counterQ)
 	// syncCtr marks a co-located entry whose 72B access carries its
 	// counter (tag): completion also syncs the image's counter slot.
 	syncCtr bool
+	data    mem.Line
 }
 
-// writeReq is a write awaiting acceptance.
+// writeReq is a write awaiting acceptance. As in entry, the fields the
+// acceptance scan reads come ahead of the line.
 type writeReq struct {
 	addr    mem.Addr
-	plain   mem.Line
 	arrival sim.Time // for queueing-delay stats
 	// accepted is posted with acceptArg at acceptance (persistence now
 	// guaranteed); NoHandler posts nothing.
@@ -84,6 +86,7 @@ type writeReq struct {
 	ca        bool
 	isCtr     bool // counter-line write (ccwb or eviction)
 	ccwb      bool // isCtr via counter_cache_writeback: dirty-checked at its turn
+	plain     mem.Line
 }
 
 // readReq is one read between its arrival and its completion: waiting
@@ -119,6 +122,12 @@ type Controller struct {
 	counterQ  []int32
 	pending   []*writeReq // FIFO accept queue (backpressure)
 	accepting bool        // reentrancy guard for tryAccept
+	// pendingCA counts the CA writes in pending: without one, a pass
+	// that fails on a full data queue has no ready-bit waits to count.
+	pendingCA int
+	// blocked holds the lines of the data and CA writes that failed in
+	// the current acceptance pass; the pass keeps its length.
+	blocked [acceptWindow]mem.Addr
 	// spare is pending's second buffer: an acceptance pass compacts the
 	// survivors in place while requests arriving during the pass collect
 	// here, and the two buffers swap roles each pass. Both grow to the
@@ -156,7 +165,9 @@ type Controller struct {
 
 	// The scheduler dispatches a bounded number of device writes per
 	// queue; entries waiting behind the window remain coalescible, which
-	// is where SCA's counter-write coalescing (§6.3.3) happens.
+	// is where SCA's counter-write coalescing (§6.3.3) happens. Data
+	// entries issue in queue order, so the issued ones are exactly
+	// dataQ[:dataIssued] (see tryIssue).
 	dataIssued    int
 	counterIssued int
 
@@ -180,8 +191,9 @@ type Controller struct {
 	flushArg  uint64
 
 	// stopLossLag counts, per data line, writes since the line's counter
-	// last headed to NVM; nil unless the engine enforces a stop-loss rule.
-	stopLossLag map[mem.Addr]int
+	// last headed to NVM; used only when the engine enforces a stop-loss
+	// rule.
+	stopLossLag mem.Table[int32]
 	// stopLossLimit is meta.StopLossLimit resolved against the build
 	// config; negative disables the stop-loss rule.
 	stopLossLimit int
@@ -212,9 +224,6 @@ func New(eng *sim.Engine, cfg *config.Config, meta engines.Engine, dev *nvm.Devi
 	}
 	if meta.UsesCounterCache {
 		mc.ctrC = cache.New(cfg.CounterCache)
-	}
-	if mc.stopLossLimit >= 0 {
-		mc.stopLossLag = make(map[mem.Addr]int)
 	}
 	// Pre-size the queues to their configured capacities, both out of
 	// one backing array, and the entry slab to cover them, so the
@@ -567,6 +576,7 @@ func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted sim
 	ca = mc.meta.WriteIsCounterAtomic(ca)
 	if ca {
 		mc.st.Inc(stats.CAWrites, 1)
+		mc.pendingCA++
 	} else {
 		mc.st.Inc(stats.NonCAWrites, 1)
 	}
@@ -662,25 +672,15 @@ func (mc *Controller) tryAccept() {
 		return
 	}
 	mc.accepting = true
-	defer func() { mc.accepting = false }()
-	defer mc.probeQueues()
 
 	fifo := mc.meta.FIFOAcceptance
-	// blockedLines is bounded by acceptWindow, so a linear scan beats a
-	// map allocation on this very hot path; stalls are tallied locally
-	// and flushed to the stats map once per call.
-	var blockedLines [acceptWindow]mem.Addr
+	// Stalls are tallied locally and flushed to the stats once per call.
 	stalls := uint64(0)
-	defer func() {
-		if stalls > 0 {
-			mc.st.Inc(stats.WriteQueueStalls, stalls)
-		}
-	}()
 	for {
 		progress := false
 		dataUnaccepted := false // an earlier data/CA write is still pending
 		ctrBlocked := false     // an earlier counter write is still pending
-		nBlocked := 0
+		nBlocked := 0           // lines in mc.blocked this pass
 
 		// Detach the list: acceptance can enqueue fresh requests
 		// (counter-cache eviction writebacks), which land in the spare
@@ -700,8 +700,13 @@ func (mc *Controller) tryAccept() {
 			var ok bool
 			switch {
 			case req.isCtr:
-				turn := !ctrBlocked && !dataUnaccepted
-				if turn && req.ccwb && (mc.ctrC == nil || !mc.ctrC.IsDirty(req.addr)) {
+				if ctrBlocked || dataUnaccepted {
+					// An older request failed this pass, so this one
+					// cannot get its turn: it fails without a look at
+					// the counter cache or the counter queue.
+					break
+				}
+				if req.ccwb && (mc.ctrC == nil || !mc.ctrC.IsDirty(req.addr)) {
 					// Nothing to write after all; the request
 					// completes without consuming a queue slot.
 					mc.postAccepted(req)
@@ -709,11 +714,8 @@ func (mc *Controller) tryAccept() {
 					progress = true
 					continue
 				}
-				ok = turn && (len(mc.counterQ) < mc.cfg.CounterWriteQueue ||
-					mc.hasUnissuedCounter(req.addr))
-				if !ok {
-					ctrBlocked = true
-				}
+				ok = len(mc.counterQ) < mc.cfg.CounterWriteQueue || mc.hasUnissuedCounter(req.addr)
+				ctrBlocked = !ok
 			case req.ca:
 				haveData := len(mc.dataQ) < mc.cfg.DataWriteQueue
 				// Outside FCA, the counter half coalesces into an
@@ -722,21 +724,21 @@ func (mc *Controller) tryAccept() {
 				haveCtr := len(mc.counterQ) < mc.cfg.CounterWriteQueue ||
 					(!fifo && mc.hasUnissuedCounter(mc.layout.CounterLine(req.addr)))
 				ok = !dataUnaccepted && !ctrBlocked &&
-					!lineBlocked(blockedLines[:nBlocked], req.addr) &&
+					!lineBlocked(mc.blocked[:nBlocked], req.addr) &&
 					haveData && haveCtr
 				if !ok {
 					if haveData != haveCtr {
 						mc.st.Inc(stats.ReadyBitWaits, 1)
 					}
 					dataUnaccepted = true
-					nBlocked = blockLine(&blockedLines, nBlocked, req.addr)
+					nBlocked = blockLine(&mc.blocked, nBlocked, req.addr)
 				}
 			default:
-				ok = !lineBlocked(blockedLines[:nBlocked], req.addr) &&
+				ok = !lineBlocked(mc.blocked[:nBlocked], req.addr) &&
 					len(mc.dataQ) < mc.cfg.DataWriteQueue
 				if !ok {
 					dataUnaccepted = true
-					nBlocked = blockLine(&blockedLines, nBlocked, req.addr)
+					nBlocked = blockLine(&mc.blocked, nBlocked, req.addr)
 				}
 			}
 			if ok {
@@ -762,8 +764,10 @@ func (mc *Controller) tryAccept() {
 				rest := pending[i+1:]
 				rest = rest[:min(len(rest), acceptWindow-n)]
 				stalls += uint64(len(rest))
-				if w := mc.readyBitWaitsOnFullQueue(rest); w > 0 {
-					mc.st.Inc(stats.ReadyBitWaits, w)
+				if mc.pendingCA > 0 {
+					if w := mc.readyBitWaitsOnFullQueue(rest); w > 0 {
+						mc.st.Inc(stats.ReadyBitWaits, w)
+					}
 				}
 			}
 			// Strict FIFO, or nothing more can be accepted this
@@ -779,9 +783,14 @@ func (mc *Controller) tryAccept() {
 		clear(arrivals)
 		mc.spare = arrivals[:0]
 		if !progress || len(mc.pending) == 0 {
-			return
+			break
 		}
 	}
+	if stalls > 0 {
+		mc.st.Inc(stats.WriteQueueStalls, stalls)
+	}
+	mc.probeQueues()
+	mc.accepting = false
 }
 
 // readyBitWaitsOnFullQueue counts the ready-bit waits that failing the
@@ -801,7 +810,7 @@ func (mc *Controller) readyBitWaitsOnFullQueue(rest []*writeReq) uint64 {
 }
 
 // lineBlocked reports whether a is in the blocked-line set. A plain
-// function over tryAccept's stack array, not a closure: tryAccept runs
+// function over the controller's array, not a closure: tryAccept runs
 // once per accepted write and must not allocate.
 func lineBlocked(blocked []mem.Addr, a mem.Addr) bool {
 	for _, b := range blocked {
@@ -866,11 +875,12 @@ func (mc *Controller) acceptData(req *writeReq) {
 	}
 
 	// A non-CA write to a line already queued but not dispatched
-	// overwrites that entry instead of occupying another slot.
+	// overwrites that entry instead of occupying another slot. Only the
+	// entries past the issued prefix are undispatched.
 	if !req.ca {
-		for _, i := range mc.dataQ {
+		for _, i := range mc.dataQ[mc.dataIssued:] {
 			old := &mc.entries[i]
-			if old.addr == req.addr && !old.issued && !old.ca {
+			if old.addr == req.addr && !old.ca {
 				old.data, old.tag, old.sum = cipher, ctr, sum
 				if mc.meta.CoLocatesCounters {
 					// The refreshed 72B access carries the new counter.
@@ -896,6 +906,7 @@ func (mc *Controller) acceptData(req *writeReq) {
 	mc.makeEligible(i, cryptoDelay)
 
 	if req.ca {
+		mc.pendingCA--
 		cl := mc.layout.CounterLine(req.addr)
 		if mc.meta.PairsEveryWrite {
 			// FCA pairs every write with its own counter-line write —
@@ -1002,14 +1013,18 @@ func (mc *Controller) counterIssueWidth() int { return max(1, mc.cfg.CounterWrit
 
 // tryIssue dispatches eligible entries in queue order up to each queue's
 // issue width.
+//
+// Every data entry waits the design's one CryptoLatency (none without
+// encryption) between acceptance and eligibility, so data entries become
+// eligible in queue order and the eligible ones form a prefix of dataQ.
+// Issuing in queue order then keeps the issued ones a prefix too, and an
+// entry leaves the queue only after it issued: the issued, uncompleted
+// entries are exactly dataQ[:dataIssued], and the data scan starts there
+// and stops at the first ineligible entry.
 func (mc *Controller) tryIssue() {
-	for _, i := range mc.dataQ {
-		if mc.dataIssued >= mc.dataIssueWidth() {
-			break
-		}
-		if e := &mc.entries[i]; e.eligible && !e.issued {
-			mc.issue(i)
-		}
+	dq, dw := mc.dataQ, min(mc.dataIssueWidth(), len(mc.dataQ))
+	for mc.dataIssued < dw && mc.entries[dq[mc.dataIssued]].eligible {
+		mc.issue(dq[mc.dataIssued])
 	}
 	// Counter writes drain lazily: only under capacity pressure or past
 	// their linger deadline, maximizing coalescing windows. Pressure
@@ -1017,8 +1032,9 @@ func (mc *Controller) tryIssue() {
 	// always be accepted promptly.
 	pressure := len(mc.counterQ) >= mc.cfg.CounterWriteQueue-mc.cfg.CounterWriteQueue/4
 	now := mc.eng.Now()
+	cw := mc.counterIssueWidth()
 	for _, i := range mc.counterQ {
-		if mc.counterIssued >= mc.counterIssueWidth() {
+		if mc.counterIssued >= cw {
 			break
 		}
 		if e := &mc.entries[i]; e.eligible && !e.issued && (pressure || now >= e.deadline) {
@@ -1040,13 +1056,11 @@ func (mc *Controller) issue(i int32) {
 	mc.dev.Write(e.addr, e.data, int(e.nbytes), e.tag, e.sum, mc.evH, evArg(evWritten, i))
 }
 
-// written completes entry i's device write.
+// written completes entry i's device write and retires it.
 func (mc *Controller) written(i int32) {
 	mc.persistEpoch() // the write just landed in the device image
 	e := &mc.entries[i]
-	e.done = true
-	isData := e.isData
-	if isData {
+	if e.isData {
 		mc.dataIssued--
 	} else {
 		mc.counterIssued--
@@ -1054,32 +1068,21 @@ func (mc *Controller) written(i int32) {
 	if e.syncCtr {
 		mc.syncCoLocatedCounter(e.addr, e.tag, mc.eng.Now())
 	}
-	mc.retire(isData)
+	mc.retire(i)
 }
 
-// retire drops completed entries back into the pool, then re-runs the
-// issue scheduler and acceptance (capacity may have freed). In-place
-// index compaction, not append: retire runs once per device completion
-// and must not allocate.
-func (mc *Controller) retire(isData bool) {
-	q := mc.dataQ
-	if !isData {
-		q = mc.counterQ
+// retire removes the completed entry i from its queue and returns it to
+// the pool, then re-runs the issue scheduler and acceptance (capacity may
+// have freed). Every entry retires the moment its write lands, so no
+// other queued entry is complete.
+func (mc *Controller) retire(i int32) {
+	q := &mc.counterQ
+	if mc.entries[i].isData {
+		q = &mc.dataQ
 	}
-	n := 0
-	for _, i := range q {
-		if mc.entries[i].done {
-			mc.putEntry(i)
-		} else {
-			q[n] = i
-			n++
-		}
-	}
-	if isData {
-		mc.dataQ = q[:n]
-	} else {
-		mc.counterQ = q[:n]
-	}
+	k := slices.Index(*q, i)
+	*q = slices.Delete(*q, k, k+1)
+	mc.putEntry(i)
 	mc.tryIssue()
 	mc.tryAccept()
 }
@@ -1090,21 +1093,22 @@ func (mc *Controller) retire(isData bool) {
 // normal lazy queue entry (no ordering waits) and resets the lag of every
 // line its counter line covers.
 func (mc *Controller) stopLoss(addr mem.Addr, cryptoDelay sim.Time) {
-	if mc.stopLossLag == nil {
+	if mc.stopLossLimit < 0 {
 		return
 	}
-	line := addr.LineAddr()
-	mc.stopLossLag[line]++
-	if mc.stopLossLag[line] < mc.stopLossLimit {
+	lag := mc.stopLossLag.Ptr(addr)
+	*lag++
+	if int(*lag) < mc.stopLossLimit {
 		return
 	}
-	cl := mc.layout.CounterLine(line)
+	cl := mc.layout.CounterLine(addr)
 	mc.queueCounterEntry(cl, cryptoDelay)
 	if mc.ctrC != nil {
 		mc.ctrC.Clean(cl)
 	}
+	// The eight lines share one table page.
 	for _, da := range mc.layout.DataLinesOf(cl) {
-		delete(mc.stopLossLag, da)
+		*mc.stopLossLag.Ptr(da) = 0
 	}
 	mc.st.Inc(stats.StopLossCounterWrites, 1)
 }
@@ -1185,19 +1189,17 @@ func (mc *Controller) QueueOccupancy() (data, counter int) {
 // Because CA pairs are accepted atomically, no half-pair can be resident.
 func (mc *Controller) DrainADR(at sim.Time) {
 	for _, i := range mc.dataQ {
-		if e := &mc.entries[i]; !e.done {
-			mc.dev.WriteAt(e.addr, e.data, e.tag, e.sum, at)
-			if e.syncCtr {
-				// Co-located entries carry their counter in the
-				// same 72B access; the drain persists both halves.
-				mc.syncCoLocatedCounter(e.addr, e.tag, at)
-			}
+		e := &mc.entries[i]
+		mc.dev.WriteAt(e.addr, e.data, e.tag, e.sum, at)
+		if e.syncCtr {
+			// Co-located entries carry their counter in the same
+			// 72B access; the drain persists both halves.
+			mc.syncCoLocatedCounter(e.addr, e.tag, at)
 		}
 	}
 	for _, i := range mc.counterQ {
-		if e := &mc.entries[i]; !e.done {
-			mc.dev.WriteAt(e.addr, e.data, 0, 0, at)
-		}
+		e := &mc.entries[i]
+		mc.dev.WriteAt(e.addr, e.data, 0, 0, at)
 	}
 }
 

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -339,6 +340,30 @@ func TestAcceptanceOrderPerDesign(t *testing.T) {
 	// draining to free the counter queue).
 	if fcaAt <= scaAt {
 		t.Fatalf("FCA regular write at %v not delayed vs SCA %v", fcaAt, scaAt)
+	}
+}
+
+func TestSameLineProgramOrder(t *testing.T) {
+	// A ccwb fills SCA's 1-entry counter queue, so a CA write to X
+	// stalls: its counter line is a different one. A plain write to X
+	// must wait behind it (same-line program order), while a plain write
+	// to another line Y bypasses both.
+	cfg := config.Default(config.SCA)
+	cfg.CounterWriteQueue = 1
+	r := newRigCfg(cfg)
+	names := []string{"ca-x", "plain-x", "plain-y"}
+	var order []string
+	accepted := r.eng.Register(func(arg uint64) { order = append(order, names[arg]) })
+	const x, y = mem.Addr(8 * 64), mem.Addr(16 * 64)
+	r.run(func() {
+		r.mc.Write(0x40, lineOf(1), false, sim.NoHandler, 0)
+		r.mc.CounterWriteback(0x40, sim.NoHandler, 0)
+		r.mc.Write(x, lineOf(2), true, accepted, 0)
+		r.mc.Write(x, lineOf(3), false, accepted, 1)
+		r.mc.Write(y, lineOf(4), false, accepted, 2)
+	})
+	if want := []string{"plain-y", "ca-x", "plain-x"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("acceptance order = %v, want %v", order, want)
 	}
 }
 
